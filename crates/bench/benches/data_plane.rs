@@ -1,14 +1,14 @@
 //! Benchmarks of the live-engine data plane: SPSC ring transfer in both
 //! the tuple-at-a-time and slice idioms, and a short end-to-end
-//! `LiveRuntime` run under each data plane. The ring numbers isolate the
-//! per-tuple transport cost; the end-to-end pair shows the loop-structure
-//! difference that `laar bench-runtime` measures at paper scale.
+//! `LiveRuntime` run. The ring numbers isolate the per-tuple transport
+//! cost; the end-to-end run is what `laar bench-runtime` measures at
+//! paper scale.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use laar_dsps::{FailurePlan, InputTrace};
 use laar_gen::{generator::generate_app, GenParams};
 use laar_model::ActivationStrategy;
-use laar_runtime::{spsc, DataPlane, LiveRuntime, RuntimeConfig};
+use laar_runtime::{spsc, LiveRuntime, RuntimeConfig};
 use std::hint::black_box;
 
 const RING_CAP: usize = 1024;
@@ -45,11 +45,9 @@ fn bench_ring_slice(c: &mut Criterion) {
     });
 }
 
-/// A short accelerated end-to-end run on a small generated app, one bench
-/// per data plane. Wall time here is pinned by the scaled clock (the trace
-/// is 2 s at 2000x, so ~1 ms per run plus thread setup); the interesting
-/// comparison is the reported time *difference* between the planes, which
-/// is pure loop-structure overhead.
+/// A short accelerated end-to-end run on a small generated app. Wall time
+/// here is pinned by the scaled clock (the trace is 2 s at 2000x, so ~1 ms
+/// per run plus thread setup).
 fn bench_live_runtime(c: &mut Criterion) {
     let params = GenParams {
         num_hosts: 1,
@@ -62,30 +60,23 @@ fn bench_live_runtime(c: &mut Criterion) {
     let trace = InputTrace::constant(&[gen.high_rate], params.duration);
     let mut g = c.benchmark_group("data_plane/live_runtime_2s_x2000");
     g.sample_size(10);
-    for plane in [DataPlane::Reference, DataPlane::Batched] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{plane:?}")),
-            &plane,
-            |b, &plane| {
-                b.iter(|| {
-                    let mut cfg = RuntimeConfig::accelerated(2000.0);
-                    cfg.queue_capacity_secs = 0.25;
-                    cfg.detection_delay = cfg.detection_delay.max(0.02 * 2000.0);
-                    cfg.data_plane = plane;
-                    let report = LiveRuntime::new(
-                        &gen.app,
-                        &gen.placement,
-                        strategy.clone(),
-                        &trace,
-                        FailurePlan::None,
-                        cfg,
-                    )
-                    .run();
-                    black_box(report.metrics.total_processed())
-                });
-            },
-        );
-    }
+    g.bench_function("batched", |b| {
+        b.iter(|| {
+            let mut cfg = RuntimeConfig::accelerated(2000.0);
+            cfg.queue_capacity_secs = 0.25;
+            cfg.detection_delay = cfg.detection_delay.max(0.02 * 2000.0);
+            let report = LiveRuntime::new(
+                &gen.app,
+                &gen.placement,
+                strategy.clone(),
+                &trace,
+                FailurePlan::None,
+                cfg,
+            )
+            .run();
+            black_box(report.metrics.total_processed())
+        });
+    });
     g.finish();
 }
 

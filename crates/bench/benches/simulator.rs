@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use laar_core::testutil::fig2_problem;
-use laar_dsps::{FailurePlan, InputTrace, SimConfig, Simulation, TimeAdvance};
+use laar_dsps::{FailurePlan, InputTrace, SimConfig, Simulation};
 use laar_model::{ActivationStrategy, ConfigId, HostId};
 use std::hint::black_box;
 
@@ -136,9 +136,9 @@ fn bench_quantum_resolution(c: &mut Criterion) {
 }
 
 fn bench_time_advance(c: &mut Criterion) {
-    // Fixed-quantum reference vs. event-driven fast path on the two
-    // extremes: a quiescent-heavy sparse trace (where the horizon jump
-    // pays off) and a saturated trace (where it must not cost anything).
+    // The two extremes of the horizon jump: a quiescent-heavy sparse trace
+    // (where it skips almost every quantum) and a saturated trace (where
+    // it never fires and must not cost anything).
     let gen = laar_bench::paper_app();
     let np = gen.app.graph().num_pes();
     let sr = ActivationStrategy::all_active(np, 2, 2);
@@ -149,28 +149,19 @@ fn bench_time_advance(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator/time_advance_24pe_300s");
     g.sample_size(10);
     for (label, trace) in [("quiescent", &sparse), ("saturated", &saturated)] {
-        for (mode, advance) in [
-            ("fixed", TimeAdvance::FixedQuantum),
-            ("event", TimeAdvance::EventDriven),
-        ] {
-            g.bench_function(format!("{label}/{mode}"), |b| {
-                let cfg = SimConfig {
-                    advance,
-                    ..SimConfig::default()
-                };
-                b.iter(|| {
-                    let sim = Simulation::new(
-                        &gen.app,
-                        &gen.placement,
-                        sr.clone(),
-                        trace,
-                        FailurePlan::None,
-                        cfg.clone(),
-                    );
-                    black_box(sim.run().total_processed())
-                });
+        g.bench_function(format!("{label}/event"), |b| {
+            b.iter(|| {
+                let sim = Simulation::new(
+                    &gen.app,
+                    &gen.placement,
+                    sr.clone(),
+                    trace,
+                    FailurePlan::None,
+                    SimConfig::default(),
+                );
+                black_box(sim.run().total_processed())
             });
-        }
+        });
     }
     g.finish();
 }
@@ -179,8 +170,8 @@ fn bench_host_parallel(c: &mut Criterion) {
     // Host-parallel scheduling over the host-major arena: the saturated
     // 8×-paper deployment (192 PEs on 32 hosts) where every quantum carries
     // enough per-host grain for the fan-out to matter, swept over worker
-    // threads. threads=1 is the sequential engine (no pool is built); the
-    // parallel rows are bit-identical to it by construction.
+    // threads. threads=1 is the single-chunk path (no pool is built); the
+    // staged rows are bit-identical to it by construction.
     let gen = laar_gen::generator::generate_app(&laar_gen::GenParams::default().scaled(8.0), 7);
     let np = gen.app.graph().num_pes();
     let sr = ActivationStrategy::all_active(np, 2, 2);

@@ -22,9 +22,7 @@ use laar_core::ftsearch::{self, FtSearchConfig, Outcome};
 use laar_core::variants::VariantKind;
 use laar_core::{greedy, non_replicated, static_replication, PessimisticFailure, Problem};
 use laar_dsps::profiler::{descriptor_error, profile_application};
-use laar_dsps::{
-    FailurePlan, InputTrace, PhaseProfile, ReplicaLayout, SimConfig, SimMetrics, Simulation,
-};
+use laar_dsps::{FailurePlan, InputTrace, PhaseProfile, SimConfig, SimMetrics, Simulation};
 use laar_experiments::{benchmark_solver, merge_solver_baseline, SolverBenchConfig};
 pub use laar_experiments::{SolverBenchBaselineRow, SolverBenchMode, SolverBenchRow};
 use laar_gen::{generator::generate_app, GenParams};
@@ -333,14 +331,11 @@ pub fn cmd_variants(
 }
 
 /// One row of the `bench-sim` report: wall-clock time and simulated-quanta
-/// throughput of one fixture at one worker-thread count, under both
-/// time-advance engines.
+/// throughput of one fixture at one worker-thread count.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchSimRow {
     /// Fixture name.
     pub name: String,
-    /// Replica layout the timed runs used (`"soa"` or `"legacy"`).
-    pub layout: String,
     /// Worker threads of this row (`SimConfig::threads`).
     pub threads: usize,
     /// Hardware threads of the machine the row was measured on — parallel
@@ -360,29 +355,23 @@ pub struct BenchSimRow {
     /// Scheduling quantum (seconds): `trace_secs / quantum` quanta of
     /// simulated work per run.
     pub quantum: f64,
-    /// Logical quanta covered by one run (the fixed engine executes all of
-    /// them; the event engine skips the quiescent ones).
+    /// Logical quanta covered by one run (the engine skips the quiescent
+    /// ones).
     pub quanta: u64,
-    /// Best-of-N wall seconds, fixed-quantum reference ("before").
-    pub fixed_quantum_wall_secs: f64,
-    /// Simulated quanta per wall second, fixed-quantum reference.
-    pub fixed_quantum_quanta_per_sec: f64,
-    /// Best-of-N wall seconds, event-driven engine ("after").
+    /// Best-of-N wall seconds of `Simulation::run`.
     pub event_driven_wall_secs: f64,
-    /// Simulated quanta per wall second, event-driven engine.
+    /// Simulated quanta per wall second.
     pub event_driven_quanta_per_sec: f64,
-    /// `fixed_quantum_wall_secs / event_driven_wall_secs`.
-    pub speedup: f64,
-    /// `fixed_quantum_wall_secs` of this fixture's threads=1 row divided by
-    /// this row's — the parallel speedup of the scheduling phase fan-out.
+    /// `event_driven_wall_secs` of this fixture's threads=1 row divided by
+    /// this row's — the parallel speedup of the staged data-plane phases.
     pub speedup_vs_single_thread: f64,
-    /// Total tuples processed (identical across engines and thread counts
-    /// by construction; recorded so regressions in *what* was simulated are
+    /// Total tuples processed (identical across thread counts by
+    /// construction; recorded so regressions in *what* was simulated are
     /// visible too).
     pub total_processed: u64,
     /// Wall seconds in the control plane (failures, commands, elections) of
-    /// one profiled fixed-quantum run. Phase timings are measurement, not
-    /// simulation state: they never enter the bit-compared [`SimMetrics`].
+    /// one profiled run. Phase timings are measurement, not simulation
+    /// state: they never enter the bit-compared [`SimMetrics`].
     pub phase_control_secs: f64,
     /// Wall seconds emitting source tuples, same profiled run.
     pub phase_emission_secs: f64,
@@ -392,8 +381,7 @@ pub struct BenchSimRow {
     pub phase_forwarding_secs: f64,
     /// Wall seconds attributing metrics and snapshotting, same profiled run.
     pub phase_accounting_secs: f64,
-    /// Resident bytes of the hot replica state (SoA arena, or the legacy
-    /// `Replica` array under `--layout legacy`), from the profiled run.
+    /// Resident bytes of the hot replica state, from the profiled run.
     pub arena_bytes: u64,
     /// `arena_bytes / num_pes` — the per-PE memory budget of the hot path.
     pub bytes_per_pe: f64,
@@ -411,10 +399,9 @@ pub struct BenchSimRow {
 }
 
 /// One row of a `--baseline` file for `bench-sim`: a previous `bench-sim`
-/// report (typically produced with `--layout legacy`) measured on the same
-/// machine over the same fixtures. Matched to [`BenchSimRow`]s by
-/// `(name, threads)`; unknown fields in the file are ignored, so any
-/// `BENCH_sim.json` works as a baseline.
+/// report measured on the same machine over the same fixtures. Matched to
+/// [`BenchSimRow`]s by `(name, threads)`; unknown fields in the file are
+/// ignored, so any `BENCH_sim.json` works as a baseline.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BenchSimBaselineRow {
     /// Fixture name (must match a `bench-sim` fixture).
@@ -478,10 +465,9 @@ impl SimFixture {
     }
 }
 
-/// The `bench-sim` command: measure simulator throughput under both
-/// time-advance engines on the fixtures that anchor the evaluation — the
-/// Fig. 9 unit of work (24 PEs, 300 s, Low/High trace), a quiescent-heavy
-/// Low-rate variant (the event-driven best case), a saturated High-rate
+/// The `bench-sim` command: measure simulator throughput on the fixtures
+/// that anchor the evaluation — the Fig. 9 unit of work (24 PEs, 300 s, Low/High trace), a quiescent-heavy
+/// Low-rate variant (the horizon jump's best case), a saturated High-rate
 /// variant (the worst case: work never stops), the small Fig. 3 pipeline,
 /// two saturated scale-ups of the paper deployment (8× → 192 PEs on
 /// 32 hosts, 32× → 768 PEs on 128 hosts) where the host-parallel
@@ -491,18 +477,14 @@ impl SimFixture {
 /// that stress the per-tuple scheduling path and the per-replica
 /// bookkeeping the SoA hot arena exists for, reporting quanta/sec and
 /// bytes/PE. Every fixture runs at every
-/// `threads` count; each (fixture, engine, threads) cell is run `iters`
-/// times and the best wall time kept. Metrics equality is asserted across
-/// engines *and* across thread counts on every run — the benchmark
-/// doubles as the determinism oracle. `smoke` shrinks the run to the
-/// 1k-PE fixture with a short trace for CI; `layout` picks the replica
-/// layout the timed runs use (`--layout legacy` reproduces the pre-SoA
-/// engine, which is how a same-machine `--baseline` file is made).
+/// `threads` count; each (fixture, threads) cell is run `iters` times and
+/// the best wall time kept. Metrics equality is asserted across thread
+/// counts on every run — the benchmark doubles as the determinism oracle.
+/// `smoke` shrinks the run to the 1k-PE fixture with a short trace for CI.
 pub fn cmd_bench_sim(
     iters: u32,
     threads: &[usize],
     smoke: bool,
-    layout: ReplicaLayout,
     baseline: &[BenchSimBaselineRow],
 ) -> Result<Vec<BenchSimRow>, CliError> {
     if iters == 0 {
@@ -514,10 +496,6 @@ pub fn cmd_bench_sim(
         ));
     }
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let layout_name = match layout {
-        ReplicaLayout::Legacy => "legacy",
-        ReplicaLayout::Soa => "soa",
-    };
 
     let mut fixtures: Vec<SimFixture> = Vec::new();
     if smoke {
@@ -616,66 +594,48 @@ pub fn cmd_bench_sim(
         let mut reference: Option<SimMetrics> = None;
         let mut single_thread_wall = f64::NAN;
         for &nthreads in threads {
-            let make_cfg = |advance: laar_dsps::TimeAdvance| SimConfig {
-                layout,
-                advance,
+            let cfg = SimConfig {
                 threads: nthreads,
                 ..SimConfig::default()
             };
-            let time_one = |advance: laar_dsps::TimeAdvance| -> (f64, SimMetrics) {
-                let mut best = f64::INFINITY;
-                let mut metrics = None;
-                for _ in 0..iters {
-                    let sim = Simulation::new(
-                        app,
-                        placement,
-                        strategy.clone(),
-                        trace,
-                        FailurePlan::None,
-                        make_cfg(advance),
-                    );
-                    let start = std::time::Instant::now();
-                    let m = sim.run();
-                    best = best.min(start.elapsed().as_secs_f64());
-                    metrics = Some(m);
-                }
-                (best, metrics.expect("iters >= 1"))
+            let build = || {
+                Simulation::new(
+                    app,
+                    placement,
+                    strategy.clone(),
+                    trace,
+                    FailurePlan::None,
+                    cfg.clone(),
+                )
             };
-            let (fixed_wall, fixed_m) = time_one(laar_dsps::TimeAdvance::FixedQuantum);
-            let (event_wall, event_m) = time_one(laar_dsps::TimeAdvance::EventDriven);
-            if fixed_m != event_m {
-                return Err(CliError::Message(format!(
-                    "{name}: event-driven metrics diverged from the fixed-quantum \
-                     reference at threads={nthreads}"
-                )));
+            let mut event_wall = f64::INFINITY;
+            let mut event_m = None;
+            for _ in 0..iters {
+                let sim = build();
+                let start = std::time::Instant::now();
+                let m = sim.run();
+                event_wall = event_wall.min(start.elapsed().as_secs_f64());
+                event_m = Some(m);
             }
+            let event_m = event_m.expect("iters >= 1");
+            let total_processed = event_m.total_processed();
             match &reference {
-                None => reference = Some(fixed_m),
-                Some(r) => {
-                    if *r != fixed_m {
-                        return Err(CliError::Message(format!(
-                            "{name}: metrics at threads={nthreads} diverged from \
-                             threads={} — parallel determinism is broken",
-                            threads[0]
-                        )));
-                    }
+                None => reference = Some(event_m),
+                Some(r) if *r != event_m => {
+                    return Err(CliError::Message(format!(
+                        "{name}: metrics at threads={nthreads} diverged from \
+                         threads={} — parallel determinism is broken",
+                        threads[0]
+                    )));
                 }
+                Some(_) => {}
             }
             // Phase breakdown from one separate profiled run so the clock
             // overhead never contaminates the timed cells above.
-            let (_, profile): (SimMetrics, PhaseProfile) = Simulation::new(
-                app,
-                placement,
-                strategy.clone(),
-                trace,
-                FailurePlan::None,
-                make_cfg(laar_dsps::TimeAdvance::FixedQuantum),
-            )
-            .run_profiled();
+            let (_, profile): (SimMetrics, PhaseProfile) = build().run_profiled();
             if nthreads == 1 || single_thread_wall.is_nan() {
-                single_thread_wall = fixed_wall;
+                single_thread_wall = event_wall;
             }
-            let cfg = SimConfig::default();
             let quanta = (trace.duration / cfg.quantum).round() as u64;
             let event_qps = quanta as f64 / event_wall.max(1e-12);
             let base = baseline
@@ -683,7 +643,6 @@ pub fn cmd_bench_sim(
                 .find(|b| b.name == name && b.threads == nthreads);
             rows.push(BenchSimRow {
                 name: name.to_owned(),
-                layout: layout_name.to_owned(),
                 threads: nthreads,
                 host_cores,
                 oversubscribed: nthreads > host_cores,
@@ -692,13 +651,10 @@ pub fn cmd_bench_sim(
                 trace_secs: trace.duration,
                 quantum: cfg.quantum,
                 quanta,
-                fixed_quantum_wall_secs: fixed_wall,
-                fixed_quantum_quanta_per_sec: quanta as f64 / fixed_wall.max(1e-12),
                 event_driven_wall_secs: event_wall,
                 event_driven_quanta_per_sec: event_qps,
-                speedup: fixed_wall / event_wall.max(1e-12),
-                speedup_vs_single_thread: single_thread_wall / fixed_wall.max(1e-12),
-                total_processed: event_m.total_processed(),
+                speedup_vs_single_thread: single_thread_wall / event_wall.max(1e-12),
+                total_processed,
                 phase_control_secs: profile.control_secs,
                 phase_emission_secs: profile.emission_secs,
                 phase_scheduling_secs: profile.scheduling_secs,
@@ -769,10 +725,9 @@ pub fn cmd_bench_solver(
 }
 
 /// One row of the `bench-runtime` report: one fixture at one `time_scale`,
-/// run on the live engine under both data planes ("reference" = the
-/// pre-optimization tuple-at-a-time fixed-tick loop, "batched" = the
-/// slice-based transport with adaptive wakeups), with the simulator run
-/// under identical parameters as the oracle.
+/// run on the live engine (slice-based transport with adaptive wakeups —
+/// the `batched_*` columns), with the simulator run under identical
+/// parameters as the oracle.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchRuntimeRow {
     /// Fixture name.
@@ -783,46 +738,25 @@ pub struct BenchRuntimeRow {
     pub trace_secs: f64,
     /// Tuples processed by the simulator oracle under the same config.
     pub sim_processed: u64,
-    /// Wall seconds, reference data plane ("before").
-    pub reference_wall_secs: f64,
-    /// Tuples processed end-to-end, reference data plane.
-    pub reference_processed: u64,
-    /// Processed tuples per wall second, reference data plane.
-    pub reference_tuples_per_sec: f64,
-    /// Tuples rejected by full transport rings, reference data plane.
-    pub reference_transport_dropped: u64,
-    /// Scheduling passes across coordinator + workers, reference plane.
-    pub reference_loop_passes: u64,
-    /// Process CPU seconds consumed by the run, reference data plane.
-    pub reference_cpu_secs: f64,
-    /// `|live processed − sim processed| / sim processed`, reference plane.
-    pub reference_sim_delta: f64,
-    /// Primary fail-overs observed, reference plane (0 expected: the bench
-    /// fixtures inject no failures, so any fail-over is a false detection).
-    pub reference_failovers: u64,
-    /// Wall seconds, batched data plane ("after").
+    /// Wall seconds of the live run.
     pub batched_wall_secs: f64,
-    /// Tuples processed end-to-end, batched data plane.
+    /// Tuples processed end-to-end.
     pub batched_processed: u64,
-    /// Processed tuples per wall second, batched data plane.
+    /// Processed tuples per wall second.
     pub batched_tuples_per_sec: f64,
-    /// Tuples rejected by full transport rings, batched data plane.
+    /// Tuples rejected by full transport rings.
     pub batched_transport_dropped: u64,
-    /// Scheduling passes across coordinator + workers, batched plane.
+    /// Scheduling passes across coordinator + workers — the engine's
+    /// wakeup count, the deterministic proxy for idle CPU burn
+    /// (`batched_cpu_secs` has 10 ms scheduler-tick granularity).
     pub batched_loop_passes: u64,
-    /// Process CPU seconds consumed by the run, batched data plane.
+    /// Process CPU seconds consumed by the run.
     pub batched_cpu_secs: f64,
-    /// `|live processed − sim processed| / sim processed`, batched plane.
+    /// `|live processed − sim processed| / sim processed`.
     pub batched_sim_delta: f64,
-    /// Primary fail-overs observed, batched plane (0 expected).
+    /// Primary fail-overs observed (0 expected: the bench fixtures inject
+    /// no failures, so any fail-over is a false detection).
     pub batched_failovers: u64,
-    /// `batched_tuples_per_sec / reference_tuples_per_sec`.
-    pub throughput_speedup: f64,
-    /// `reference_loop_passes / batched_loop_passes` — the idle-CPU-cost
-    /// reduction (wakeups are the deterministic proxy for idle CPU burn;
-    /// `*_cpu_secs` gives the same ratio but at 10 ms scheduler-tick
-    /// granularity).
-    pub wakeup_reduction: f64,
     /// Wall seconds of the true pre-PR engine on this fixture/scale, from a
     /// `--baseline` file measured on the same machine; 0 when no baseline
     /// row matched.
@@ -881,7 +815,7 @@ fn process_cpu_seconds() -> f64 {
 }
 
 /// The `bench-runtime` command: measure live-engine throughput and idle
-/// cost under both data planes on the fixtures that anchor the evaluation
+/// cost on the fixtures that anchor the evaluation
 /// — a near-idle quiescent trace (the adaptive-wakeup best case), the
 /// Fig. 9 Low/High paper trace, and a saturated high-rate trace with tight
 /// transport queues (the batching best case) — each at every `time_scale`
@@ -894,7 +828,6 @@ pub fn cmd_bench_runtime(
     smoke: bool,
     baseline: &[BaselineRow],
 ) -> Result<Vec<BenchRuntimeRow>, CliError> {
-    use laar_runtime::DataPlane;
     if scales.is_empty() || scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
         return Err(CliError::Message(
             "--scales needs a comma-separated list of positive numbers".to_owned(),
@@ -957,35 +890,21 @@ pub fn cmd_bench_runtime(
             .run();
             let sim_processed = sim_m.total_processed();
 
-            let run_plane = |plane: DataPlane| -> (f64, f64, LiveReport) {
-                let mut c = cfg.clone();
-                c.data_plane = plane;
-                let rt = LiveRuntime::new(
-                    &gen.app,
-                    &gen.placement,
-                    strategy.clone(),
-                    trace,
-                    FailurePlan::None,
-                    c,
-                );
-                let cpu0 = process_cpu_seconds();
-                let start = std::time::Instant::now();
-                let report = rt.run();
-                (
-                    start.elapsed().as_secs_f64(),
-                    process_cpu_seconds() - cpu0,
-                    report,
-                )
-            };
-            let (ref_wall, ref_cpu, ref_report) = run_plane(DataPlane::Reference);
-            let (bat_wall, bat_cpu, bat_report) = run_plane(DataPlane::Batched);
+            let rt = LiveRuntime::new(
+                &gen.app,
+                &gen.placement,
+                strategy.clone(),
+                trace,
+                FailurePlan::None,
+                cfg,
+            );
+            let cpu0 = process_cpu_seconds();
+            let start = std::time::Instant::now();
+            let bat_report: LiveReport = rt.run();
+            let bat_wall = start.elapsed().as_secs_f64();
+            let bat_cpu = process_cpu_seconds() - cpu0;
 
-            let ref_processed = ref_report.metrics.total_processed();
             let bat_processed = bat_report.metrics.total_processed();
-            let delta = |live: u64| {
-                (live as f64 - sim_processed as f64).abs() / (sim_processed as f64).max(1.0)
-            };
-            let ref_tps = ref_processed as f64 / ref_wall.max(1e-12);
             let bat_tps = bat_processed as f64 / bat_wall.max(1e-12);
             let base = baseline
                 .iter()
@@ -995,25 +914,15 @@ pub fn cmd_bench_runtime(
                 time_scale: scale,
                 trace_secs: duration,
                 sim_processed,
-                reference_wall_secs: ref_wall,
-                reference_processed: ref_processed,
-                reference_tuples_per_sec: ref_tps,
-                reference_transport_dropped: ref_report.conservation.transport_dropped,
-                reference_loop_passes: ref_report.loop_passes,
-                reference_cpu_secs: ref_cpu,
-                reference_sim_delta: delta(ref_processed),
-                reference_failovers: ref_report.metrics.failovers,
                 batched_wall_secs: bat_wall,
                 batched_processed: bat_processed,
                 batched_tuples_per_sec: bat_tps,
                 batched_transport_dropped: bat_report.conservation.transport_dropped,
                 batched_loop_passes: bat_report.loop_passes,
                 batched_cpu_secs: bat_cpu,
-                batched_sim_delta: delta(bat_processed),
+                batched_sim_delta: (bat_processed as f64 - sim_processed as f64).abs()
+                    / (sim_processed as f64).max(1.0),
                 batched_failovers: bat_report.metrics.failovers,
-                throughput_speedup: bat_tps / ref_tps.max(1e-12),
-                wakeup_reduction: ref_report.loop_passes as f64
-                    / (bat_report.loop_passes as f64).max(1.0),
                 pre_pr_wall_secs: base.map_or(0.0, |b| b.wall_secs),
                 pre_pr_processed: base.map_or(0, |b| b.processed),
                 pre_pr_tuples_per_sec: base.map_or(0.0, |b| b.tuples_per_sec),

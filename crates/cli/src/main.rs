@@ -21,8 +21,8 @@ USAGE:
   laar run-live --contract F --placement F --strategy F --trace F [--failure ...] [--speed X] [--adapt --ic X] [--metrics OUT]
   laar variants --contract F --placement F --trace F [--time-limit SECS]
   laar profile  --contract F --placement F [--probes N]
-  laar bench-sim [--iters N] [--threads N,M,..] [--layout soa|legacy]
-                 [--baseline F] [--test] [--out BENCH_sim.json]
+  laar bench-sim [--iters N] [--threads N,M,..] [--baseline F] [--test]
+                 [--out BENCH_sim.json]
   laar bench-solver [--instances N] [--seed N] [--ic X] [--threads N]
                     [--time-limit SECS] [--modes sequential,parallel,cp,portfolio]
                     [--large] [--baseline F] [--test] [--out BENCH_solver.json]
@@ -324,15 +324,6 @@ fn run() -> Result<(), CliError> {
                 None if smoke => vec![1],
                 None => vec![1, 2, 4],
             };
-            let layout = match flags.get("layout").map(String::as_str) {
-                None | Some("soa") => laar_dsps::ReplicaLayout::Soa,
-                Some("legacy") => laar_dsps::ReplicaLayout::Legacy,
-                Some(v) => {
-                    return Err(CliError::Message(format!(
-                        "bad --layout {v:?}: expected soa or legacy"
-                    )))
-                }
-            };
             let baseline: Vec<laar_cli::BenchSimBaselineRow> = match flags.get("baseline") {
                 Some(path) => {
                     let data = std::fs::read_to_string(path).map_err(|e| {
@@ -344,33 +335,19 @@ fn run() -> Result<(), CliError> {
                 }
                 None => Vec::new(),
             };
-            let rows = cmd_bench_sim(iters, &threads, smoke, layout, &baseline)?;
+            let rows = cmd_bench_sim(iters, &threads, smoke, &baseline)?;
             println!(
-                "{:<34} {:>6} {:>4} {:>10} {:>10} {:>12} {:>12} {:>8} {:>8} {:>9} {:>9}",
-                "fixture",
-                "layout",
-                "thr",
-                "fixed (s)",
-                "event (s)",
-                "fixed q/s",
-                "event q/s",
-                "speedup",
-                "vs 1thr",
-                "B/PE",
-                "vs prePR"
+                "{:<36} {:>4} {:>10} {:>12} {:>8} {:>9} {:>9}",
+                "fixture", "thr", "wall (s)", "quanta/s", "vs 1thr", "B/PE", "vs prePR"
             );
             for r in &rows {
                 println!(
-                    "{:<34} {:>6} {:>3}{} {:>10.3} {:>10.3} {:>12.0} {:>12.0} {:>7.2}x {:>7.2}x {:>9.0} {}",
+                    "{:<36} {:>3}{} {:>10.3} {:>12.0} {:>7.2}x {:>9.0} {}",
                     r.name,
-                    r.layout,
                     r.threads,
                     if r.oversubscribed { "*" } else { " " },
-                    r.fixed_quantum_wall_secs,
                     r.event_driven_wall_secs,
-                    r.fixed_quantum_quanta_per_sec,
                     r.event_driven_quanta_per_sec,
-                    r.speedup,
                     r.speedup_vs_single_thread,
                     r.bytes_per_pe,
                     if r.speedup_vs_pre_pr > 0.0 {
@@ -538,31 +515,27 @@ fn run() -> Result<(), CliError> {
             };
             let rows = cmd_bench_runtime(&scales, smoke, &baseline)?;
             println!(
-                "{:<28} {:>8} {:>11} {:>11} {:>8} {:>11} {:>8} {:>9} {:>9} {:>8}",
+                "{:<28} {:>8} {:>11} {:>8} {:>9} {:>9} {:>11} {:>8}",
                 "fixture",
                 "scale",
-                "ref t/s",
-                "batch t/s",
-                "speedup",
+                "tuples/s",
+                "sim Δ",
+                "wakeups",
+                "cpu (s)",
                 "pre-PR t/s",
-                "vs pre",
-                "ref wake",
-                "bat wake",
-                "wake ÷"
+                "vs pre"
             );
             for r in &rows {
                 println!(
-                    "{:<28} {:>8.0} {:>11.0} {:>11.0} {:>7.2}x {:>11.0} {:>7.2}x {:>9} {:>9} {:>7.2}x",
+                    "{:<28} {:>8.0} {:>11.0} {:>7.2}% {:>9} {:>9.2} {:>11.0} {:>7.2}x",
                     r.name,
                     r.time_scale,
-                    r.reference_tuples_per_sec,
                     r.batched_tuples_per_sec,
-                    r.throughput_speedup,
+                    100.0 * r.batched_sim_delta,
+                    r.batched_loop_passes,
+                    r.batched_cpu_secs,
                     r.pre_pr_tuples_per_sec,
                     r.speedup_vs_pre_pr,
-                    r.reference_loop_passes,
-                    r.batched_loop_passes,
-                    r.wakeup_reduction,
                 );
             }
             let out = flags

@@ -16,9 +16,9 @@
 //! `on_deactivate` / `on_kill` / `on_recover` methods, called at the three
 //! places the simulator mutates slot state (due commands, failure
 //! injection, recovery). Between control events the hot arena evolves
-//! alone; in struct-of-arrays mode the cold replicas never receive offers,
-//! so their data-plane fields stay at their initial values and the hot
-//! arena owns every queue, counter, and accumulator.
+//! alone; the cold replicas never receive offers, so their data-plane
+//! fields stay at their initial values and the hot arena owns every queue,
+//! counter, and accumulator.
 //!
 //! Eligibility is a single f64 sentinel per replica
 //! ([`SlotState::eligible_from`]): `+INF` while dead or idle, the
@@ -29,8 +29,10 @@
 //! Everything here is bit-compatible with [`Replica`]: the floating-point
 //! operation order of `process`, the drop/discard bookkeeping of `offer`,
 //! and the clear-on-transition semantics are replicated operation for
-//! operation, and `tests/proptest_arena.rs` plus the golden-equivalence
-//! suite hold the two layouts to exact equality.
+//! operation: `tests/proptest_arena.rs` holds the two to bitwise lockstep
+//! after every operation of random sequences, and the golden digests in
+//! `tests/equivalence.rs` pin whole runs to the `Replica`-based engine
+//! this arena replaced.
 
 use laar_exec::proxy::SlotState;
 use laar_exec::replica::Replica;
@@ -121,7 +123,7 @@ impl Ring {
 }
 
 /// Reusable scratch for [`HotChunk::water_fill`]: the per-host busy
-/// list. One per engine worker, allocated once and recycled across
+/// list. One per chunk of the run, allocated once and recycled across
 /// quanta.
 #[derive(Debug, Clone, Default)]
 pub struct WfScratch {
@@ -132,8 +134,8 @@ pub struct WfScratch {
 /// simulator's host-major arena order. Per-port fields are flattened into
 /// single arrays indexed by `port_off[i]..port_off[i + 1]`.
 ///
-/// Fields are public: this is engine-owned state, and the engines, the CLI
-/// benchmarks, and the divergence proptests all read it directly.
+/// Fields are public: this is engine-owned state, and the engine and the
+/// divergence proptests read it directly.
 #[derive(Debug, Clone, Default)]
 pub struct HotArena {
     /// Eligibility sentinel per replica ([`SlotState::eligible_from`]).
@@ -344,87 +346,57 @@ impl HotArena {
         b as u64
     }
 
-    /// A mutable view over the whole arena (the sequential engine's
+    /// A mutable view over the whole arena (the single-chunk path's
     /// working handle; local indices coincide with arena indices).
     pub fn full(&mut self) -> HotChunk<'_> {
-        let n = self.len();
-        self.chunks(&[(0, n)]).pop().expect("one full chunk")
+        HotChunk {
+            base: 0,
+            pbase: 0,
+            port_off: &self.port_off,
+            cost: &self.cost,
+            sel: &self.sel,
+            cap: &self.cap,
+            eligible_from: &mut self.eligible_from,
+            queued: &mut self.queued,
+            out_acc: &mut self.out_acc,
+            rr: &mut self.rr,
+            processed: &mut self.processed,
+            processed_snapshot: &mut self.processed_snapshot,
+            emitted: &mut self.emitted,
+            cycles_used: &mut self.cycles_used,
+            idle_discards: &mut self.idle_discards,
+            out_births: &mut self.out_births,
+            head_progress: &mut self.head_progress,
+            drops: &mut self.drops,
+            port_processed: &mut self.port_processed,
+            queues: &mut self.queues,
+            active_port: &mut self.active_port,
+            head_need: &mut self.head_need,
+        }
     }
 
     /// Split the arena into disjoint mutable views over the given
     /// contiguous replica ranges (must be ascending and start at 0 — the
-    /// parallel engine's host-range chunks). Per-port arrays split at the
+    /// staged phases' host-range chunks). Per-port arrays split at the
     /// matching `port_off` boundaries; the read-only cost/selectivity/
-    /// capacity tables are shared.
+    /// capacity tables are sliced alongside.
     pub fn chunks(&mut self, bounds: &[(usize, usize)]) -> Vec<HotChunk<'_>> {
-        let port_off = &self.port_off[..];
-        let cost = &self.cost[..];
-        let sel = &self.sel[..];
-        let cap = &self.cap[..];
-        let mut ef = &mut self.eligible_from[..];
-        let mut qd = &mut self.queued[..];
-        let mut oa = &mut self.out_acc[..];
-        let mut rr = &mut self.rr[..];
-        let mut pr = &mut self.processed[..];
-        let mut ps = &mut self.processed_snapshot[..];
-        let mut em = &mut self.emitted[..];
-        let mut cy = &mut self.cycles_used[..];
-        let mut id = &mut self.idle_discards[..];
-        let mut ob = &mut self.out_births[..];
-        let mut hp = &mut self.head_progress[..];
-        let mut dr = &mut self.drops[..];
-        let mut pp = &mut self.port_processed[..];
-        let mut qs = &mut self.queues[..];
-        let mut ap = &mut self.active_port[..];
-        let mut hn = &mut self.head_need[..];
-        let mut rep_cut = 0usize;
-        let mut out = Vec::with_capacity(bounds.len());
-        for &(lo, hi) in bounds {
-            assert_eq!(lo, rep_cut, "chunk bounds must be contiguous from 0");
-            let n = hi - lo;
-            let pbase = port_off[lo] as usize;
-            let np = port_off[hi] as usize - pbase;
-            macro_rules! take {
-                ($v:ident, $n:expr) => {{
-                    let (head, rest) = $v.split_at_mut($n);
-                    $v = rest;
-                    head
-                }};
-            }
-            out.push(HotChunk {
-                base: lo,
-                pbase,
-                port_off,
-                cost: &cost[pbase..pbase + np],
-                sel: &sel[pbase..pbase + np],
-                cap: &cap[pbase..pbase + np],
-                eligible_from: take!(ef, n),
-                queued: take!(qd, n),
-                out_acc: take!(oa, n),
-                rr: take!(rr, n),
-                processed: take!(pr, n),
-                processed_snapshot: take!(ps, n),
-                emitted: take!(em, n),
-                cycles_used: take!(cy, n),
-                idle_discards: take!(id, n),
-                out_births: take!(ob, n),
-                head_progress: take!(hp, np),
-                drops: take!(dr, np),
-                port_processed: take!(pp, np),
-                queues: take!(qs, np),
-                active_port: take!(ap, n),
-                head_need: take!(hn, n),
-            });
-            rep_cut = hi;
-        }
-        out
+        let mut rest = self.full();
+        bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                assert_eq!(lo, rest.base, "chunk bounds must be contiguous from 0");
+                rest.split_front(hi - lo)
+            })
+            .collect()
     }
 }
 
 /// A disjoint mutable view over a contiguous replica range of a
-/// [`HotArena`] — what one worker (or the sequential engine, as one full
-/// chunk) operates on. Replica indices are chunk-local (`arena index -
-/// base`); the port arrays are sliced to the chunk's flat port range.
+/// [`HotArena`] — what one task of the staged phases (or the single-chunk
+/// path, as one full chunk) operates on. Replica indices are chunk-local
+/// (`arena index - base`); the port arrays are sliced to the chunk's flat
+/// port range.
 pub struct HotChunk<'a> {
     base: usize,
     pbase: usize,
@@ -455,7 +427,54 @@ pub struct HotChunk<'a> {
     head_need: &'a mut [f64],
 }
 
-impl HotChunk<'_> {
+impl<'a> HotChunk<'a> {
+    /// Cut the first `n` replicas (and their ports) off the front of this
+    /// view into a view of their own; `self` keeps the rest.
+    fn split_front(&mut self, n: usize) -> HotChunk<'a> {
+        let np = self.port_off[self.base + n] as usize - self.pbase;
+        macro_rules! take {
+            ($f:ident, $n:expr) => {{
+                let (head, rest) = std::mem::take(&mut self.$f).split_at_mut($n);
+                self.$f = rest;
+                head
+            }};
+        }
+        macro_rules! take_shared {
+            ($f:ident) => {{
+                let (head, rest) = self.$f.split_at(np);
+                self.$f = rest;
+                head
+            }};
+        }
+        let front = HotChunk {
+            base: self.base,
+            pbase: self.pbase,
+            port_off: self.port_off,
+            cost: take_shared!(cost),
+            sel: take_shared!(sel),
+            cap: take_shared!(cap),
+            eligible_from: take!(eligible_from, n),
+            queued: take!(queued, n),
+            out_acc: take!(out_acc, n),
+            rr: take!(rr, n),
+            processed: take!(processed, n),
+            processed_snapshot: take!(processed_snapshot, n),
+            emitted: take!(emitted, n),
+            cycles_used: take!(cycles_used, n),
+            idle_discards: take!(idle_discards, n),
+            out_births: take!(out_births, n),
+            head_progress: take!(head_progress, np),
+            drops: take!(drops, np),
+            port_processed: take!(port_processed, np),
+            queues: take!(queues, np),
+            active_port: take!(active_port, n),
+            head_need: take!(head_need, n),
+        };
+        self.base += n;
+        self.pbase += np;
+        front
+    }
+
     /// The chunk-local flat port range of local replica `li`.
     #[inline]
     fn local_ports(&self, li: usize) -> (usize, usize) {

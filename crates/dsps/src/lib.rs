@@ -37,5 +37,5 @@ pub use laar_exec::replica::{InPort, Replica};
 pub use laar_exec::ReplicaStatus;
 pub use metrics::{LatencyStats, SimMetrics, TimeSeries};
 pub use profiler::{profile_application, EstimatedDescriptor, PhaseProfile};
-pub use sim::{ReplicaLayout, SimConfig, Simulation, TimeAdvance};
+pub use sim::{SimConfig, Simulation};
 pub use trace::{ArrivalProcess, InputTrace, RateSchedule, SourceEmitter};

@@ -148,8 +148,8 @@ impl LatencyStats {
 /// Everything measured during one simulation run.
 ///
 /// `PartialEq` compares every field bit-for-bit (floats included): the
-/// golden-equivalence suite asserts the event-driven and fixed-quantum
-/// engines agree *exactly*, not within a tolerance.
+/// equivalence suite asserts that the horizon jump and every thread count
+/// agree with the every-quantum march *exactly*, not within a tolerance.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimMetrics {
     /// Simulated duration (seconds).

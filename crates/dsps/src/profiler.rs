@@ -28,8 +28,8 @@ use serde::Serialize;
 ///
 /// This is *measurement about* a run, never simulation state: it does not
 /// participate in [`SimMetrics`](crate::metrics::SimMetrics) equality, so
-/// the golden-equivalence suite stays bit-exact while benchmarks report
-/// where the time went (and which phases host-parallelism actually
+/// the equivalence suite stays bit-exact while benchmarks report where
+/// the time went (and which phases staging over the pool actually
 /// accelerates).
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct PhaseProfile {
@@ -37,19 +37,17 @@ pub struct PhaseProfile {
     pub control_secs: f64,
     /// Source emission and its coordinator-side bookkeeping.
     pub emission_secs: f64,
-    /// Source offers + GPS water-filling (the host-parallel phase 1).
+    /// Source offers + GPS water-filling (data-plane phase 1).
     pub scheduling_secs: f64,
     /// Primary output staging + destination-side offers (phase 2).
     pub forwarding_secs: f64,
     /// Primary work attribution, snapshots, and time advance.
     pub accounting_secs: f64,
-    /// Quanta actually executed (the event-driven engine skips quiescent
+    /// Quanta actually executed (the horizon jump skips quiescent
     /// stretches).
     pub quanta_executed: u64,
     /// Resident bytes of the hot replica state at the end of the run:
-    /// the [`HotArena`](crate::arena::HotArena) footprint under the
-    /// struct-of-arrays layout, or the `Replica` arena footprint (structs
-    /// plus port/queue/output heap) under the legacy layout.
+    /// the [`HotArena`](crate::arena::HotArena) footprint.
     pub arena_bytes: u64,
     /// `arena_bytes` divided by the number of PEs — the per-PE memory
     /// budget figure reported by `laar bench-sim`.

@@ -9,12 +9,15 @@
 //! delegated to [`laar_exec`]; this driver owns scheduling, virtual time,
 //! and synchronous tuple delivery.
 //!
-//! Everything is deterministic given (application, placement, strategy,
-//! trace, failure plan, configuration) — **including the thread count**:
-//! [`SimConfig::threads`] selects a host-parallel execution of each
-//! quantum's CPU-scheduling and forwarding phases that produces
-//! bit-identical [`SimMetrics`] to the sequential engine (see the
-//! host-major arena notes on [`Simulation`] and DESIGN.md §6e).
+//! There is one quantum loop ([`Simulation::run`]). Its data plane runs on
+//! the struct-of-arrays [`HotArena`]; the cold [`Replica`] arena keeps the
+//! protocol state and meets the hot arena only at the control-plane sync
+//! boundary. Quiescent stretches are skipped by jumping to the next-event
+//! horizon. Everything is deterministic given (application, placement,
+//! strategy, trace, failure plan, configuration) — **including the thread
+//! count**: [`SimConfig::threads`] only selects how the two data-plane
+//! phases of a quantum execute (see [`Phases`]), and either way produces
+//! bit-identical [`SimMetrics`] (DESIGN.md §6c).
 
 use crate::arena::{HotArena, HotChunk, WfScratch};
 use crate::metrics::{SimMetrics, TimeSeries};
@@ -28,47 +31,6 @@ use laar_exec::failure::FailurePlan;
 use laar_exec::replica::{InPort, Replica};
 use laar_exec::{Conservation, ControlConfig, ControlLoop, ProxyState, SlotMap};
 use laar_model::{ActivationStrategy, Application, ComponentKind, Placement, RateTable};
-
-/// How the simulator advances virtual time between scheduling quanta.
-///
-/// Both modes produce **identical** [`SimMetrics`]: the event-driven
-/// engine only skips quanta in which provably nothing can happen (no
-/// queued work anywhere, no arrival, no due command, no monitor poll, no
-/// failure-plan transition, no sync-window or detection-blackout expiry),
-/// and it lands back on the same quantum grid, so every executed quantum
-/// sees bit-identical state and timestamps. The golden-equivalence tests
-/// in `tests/equivalence.rs` hold the two modes to exact equality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimeAdvance {
-    /// March through every quantum unconditionally — the reference engine.
-    FixedQuantum,
-    /// Jump quiescent stretches directly to the next-event horizon; while
-    /// work exists, step at the configured quantum so GPS CPU-sharing
-    /// semantics are unchanged.
-    #[default]
-    EventDriven,
-}
-
-/// Memory layout of the per-quantum hot replica state.
-///
-/// Both layouts produce **identical** [`SimMetrics`]: the struct-of-arrays
-/// arena replicates the floating-point operation order, round-robin
-/// cursors, and drop/discard bookkeeping of [`Replica`] operation for
-/// operation, and mirrors every control/failover transition of the cold
-/// protocol state at an explicit sync boundary (see [`crate::arena`] and
-/// DESIGN.md §6g). The golden-equivalence suite holds the layouts to
-/// exact equality across the time-advance and thread axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicaLayout {
-    /// Array-of-structs [`Replica`] hot path — the pre-SoA reference
-    /// engine, kept verbatim as the equivalence baseline.
-    Legacy,
-    /// Struct-of-arrays hot arena (dense host-major parallel `Vec`s with
-    /// sentinel-masked eligibility): the default, ~2x faster per quantum
-    /// at scale and with measured bytes/PE.
-    #[default]
-    Soa,
-}
 
 /// Simulator tunables. Defaults mirror the paper's setup where it is
 /// specified (2-second queues, 16 s host outages are set by the failure
@@ -100,20 +62,14 @@ pub struct SimConfig {
     /// Arrival process of the sources (deterministic spacing per the
     /// paper's synthetic operators, or seeded Poisson).
     pub arrivals: ArrivalProcess,
-    /// Time-advance engine (event-driven fast path vs the fixed-quantum
-    /// reference). Metrics are identical either way.
-    pub advance: TimeAdvance,
-    /// Hot-state memory layout (struct-of-arrays arena vs the legacy
-    /// array-of-structs reference). Metrics are identical either way.
-    pub layout: ReplicaLayout,
     /// OS threads executing the per-host phases of each quantum (CPU
-    /// scheduling and destination-side forwarding). `1` (the default) is
-    /// the sequential reference engine; any value produces bit-identical
-    /// [`SimMetrics`] — hosts are independent within a quantum, per-host
-    /// work keeps its order inside each worker's slice, and every
-    /// cross-host accumulation is merged by the coordinator in fixed PE
-    /// order. Pays off on saturated fixtures with many hosts; on small or
-    /// quiescent fixtures the per-quantum dispatch overhead dominates.
+    /// scheduling and destination-side forwarding). Any value produces
+    /// bit-identical [`SimMetrics`] — hosts are independent within a
+    /// quantum, per-host work keeps its order inside each worker's slice,
+    /// and every cross-host accumulation is merged by the coordinator in
+    /// fixed PE order. Pays off on saturated fixtures with many hosts; on
+    /// small or quiescent fixtures the per-quantum dispatch overhead
+    /// dominates, so `1` is the default.
     pub threads: usize,
     /// Online adaptation (`laar-adapt`): drift detection over the rate
     /// monitor, warm-started re-planning, and live strategy hot-swaps.
@@ -135,8 +91,6 @@ impl Default for SimConfig {
             monitor_buckets: 8,
             controller_enabled: true,
             arrivals: ArrivalProcess::Deterministic,
-            advance: TimeAdvance::EventDriven,
-            layout: ReplicaLayout::Soa,
             threads: 1,
             adapt: None,
         }
@@ -166,46 +120,90 @@ impl SlotMap for ArenaSlots<'_> {
 }
 
 /// Wall-clock phase attribution with a single well-predicted branch when
-/// disabled, so the un-profiled hot loop pays nothing measurable.
-struct PhaseClock {
-    enabled: bool,
+/// no profile is attached, so the un-profiled hot loop pays nothing
+/// measurable.
+struct PhaseClock<'a> {
+    profile: Option<&'a mut PhaseProfile>,
     last: std::time::Instant,
 }
 
-impl PhaseClock {
-    fn new(enabled: bool) -> Self {
+impl<'a> PhaseClock<'a> {
+    fn new(profile: Option<&'a mut PhaseProfile>) -> Self {
         Self {
-            enabled,
+            profile,
             last: std::time::Instant::now(),
         }
     }
 
-    /// Restart the lap timer without attributing the elapsed time.
+    /// Attribute the time since the last lap to the phase `field` picks.
     #[inline]
-    fn reset(&mut self) {
-        if self.enabled {
-            self.last = std::time::Instant::now();
-        }
-    }
-
-    /// Attribute the time since the last lap/reset to `acc`.
-    #[inline]
-    fn lap(&mut self, acc: &mut f64) {
-        if self.enabled {
+    fn lap(&mut self, field: impl FnOnce(&mut PhaseProfile) -> &mut f64) {
+        if let Some(p) = self.profile.as_deref_mut() {
             let now = std::time::Instant::now();
-            *acc += now.duration_since(self.last).as_secs_f64();
+            *field(p) += now.duration_since(self.last).as_secs_f64();
             self.last = now;
         }
     }
 }
 
+/// Timing of the quantum being executed: it spans `[t, te)`, is `dt` long
+/// (the last one may be cut short by the end of the trace), and its
+/// per-second samples land in bucket `sec`.
+#[derive(Clone, Copy)]
+struct Tick {
+    t: f64,
+    te: f64,
+    dt: f64,
+    sec: usize,
+}
+
 /// One source-offer or forwarding route entry projected onto a host:
 /// `(origin, arena index of the destination replica, port)`. Origin is a
 /// source index for emission routes and an upstream dense PE index for
-/// forwarding routes. Entries are stored per host in the global sequential
-/// offer order, so replaying a host's list reproduces, per destination
-/// replica, the exact `offer()` sequence of the sequential engine.
+/// forwarding routes. Entries are stored per host in the global offer
+/// order, so replaying a host's list reproduces, per destination replica,
+/// the exact `offer()` sequence of the single-chunk path.
 type RouteEntry = (u32, u32, u32);
+
+/// How the two data-plane phases of a quantum — source offers plus GPS
+/// water-filling, then forwarding — execute. Chosen once per run from the
+/// thread count and the host count ([`Simulation::phases`]); every other
+/// step of the quantum loop is shared, and both variants produce
+/// bit-identical metrics: offers and processing touch only the destination
+/// replica, per-destination offer order is preserved, and every
+/// cross-host accumulation happens on the coordinator in PE order.
+///
+/// Both stay because each wins somewhere (DESIGN.md §6c): staging pays
+/// 1.4–1.6× at 32+ hosts on two cores, and costs 17–76 % on the 4-host
+/// figure sweeps even with the pool bypassed.
+enum Phases {
+    /// One chunk: offers and forwarding go straight to the whole arena in
+    /// the global offer order — no route tables, no staging, no tasks.
+    Direct(WfScratch),
+    /// Several host-range chunks executed on a [`WorkerPool`].
+    Staged(Staged),
+}
+
+/// Per-run state of the staged execution: the hot arena is split into
+/// disjoint chunk views at host-range boundaries, so each task owns its
+/// slice of every hot array with no aliasing and no locks, and replays the
+/// offers that land on its hosts from per-host route tables.
+struct Staged {
+    pool: WorkerPool,
+    /// Host range `lo..hi` of each chunk.
+    chunks: Vec<(usize, usize)>,
+    /// Arena-index range of each chunk, for splitting the hot arrays.
+    bounds: Vec<(usize, usize)>,
+    /// Per host: source-offer routes (origin = source index).
+    src_routes: Vec<Vec<RouteEntry>>,
+    /// Per host: forwarding routes (origin = upstream dense PE index).
+    fwd_routes: Vec<Vec<RouteEntry>>,
+    /// Per chunk: water-filling scratch.
+    scratches: Vec<WfScratch>,
+    /// Per PE: the primary's outputs of this quantum, staged by the
+    /// coordinator between the two phases.
+    births: Vec<Vec<f64>>,
+}
 
 /// A fully configured simulation run.
 ///
@@ -223,6 +221,8 @@ pub struct Simulation {
     num_pes: usize,
     duration: f64,
 
+    /// Cold protocol state. The data plane runs on a [`HotArena`] built
+    /// from it at the start of the run; these structs never see an offer.
     replicas: Vec<Replica>,
     /// `host_offsets[h]..host_offsets[h + 1]` bounds host `h`'s arena slice.
     host_offsets: Vec<usize>,
@@ -234,7 +234,6 @@ pub struct Simulation {
     pe_out: Vec<Vec<(usize, usize)>>,
     /// Per PE: downstream sink dense indices.
     pe_sink_out: Vec<Vec<usize>>,
-    num_sinks: usize,
 
     emitters: Vec<SourceEmitter>,
     control: ControlLoop,
@@ -419,7 +418,6 @@ impl Simulation {
             source_out,
             pe_out,
             pe_sink_out,
-            num_sinks: g.num_sinks(),
             emitters,
             control,
             proxy: ProxyState::new(np, k),
@@ -454,7 +452,7 @@ impl Simulation {
 
     /// Run the simulation to the end of the trace and return the metrics.
     pub fn run(self) -> SimMetrics {
-        self.run_inner(None).0
+        self.run_loop(true, None).0
     }
 
     /// Run the simulation and additionally return the adaptation report
@@ -462,7 +460,7 @@ impl Simulation {
     /// wall-clock re-planning timings, which is why it lives *outside*
     /// [`SimMetrics`] — the metrics stay bit-reproducible.
     pub fn run_adaptive(self) -> (SimMetrics, Option<AdaptReport>) {
-        self.run_inner(None)
+        self.run_loop(true, None)
     }
 
     /// Run the simulation collecting per-phase wall-clock attribution
@@ -470,14 +468,14 @@ impl Simulation {
     /// the profile is measurement, not simulation state.
     ///
     /// The five phase timings are asserted to sum to within tolerance of
-    /// the total wall time (10 % or 50 ms, whichever is larger — final
-    /// accounting after the loop is the only unattributed stretch), so a
+    /// the total wall time (10 % or 50 ms, whichever is larger — set-up
+    /// before the first lap is the only unattributed stretch), so a
     /// future phase addition cannot silently leak unattributed hot-path
     /// time out of the profile.
     pub fn run_profiled(self) -> (SimMetrics, PhaseProfile) {
         let start = std::time::Instant::now();
         let mut profile = PhaseProfile::default();
-        let (metrics, _) = self.run_inner(Some(&mut profile));
+        let (metrics, _) = self.run_loop(true, Some(&mut profile));
         let wall = start.elapsed().as_secs_f64();
         let attributed = profile.phase_sum();
         let slack = (0.10 * wall).max(0.05);
@@ -489,295 +487,72 @@ impl Simulation {
         (metrics, profile)
     }
 
-    fn run_inner(self, profile: Option<&mut PhaseProfile>) -> (SimMetrics, Option<AdaptReport>) {
-        // The parallel engine needs at least two hosts to split; anything
-        // else runs the sequential reference (identical metrics either way).
-        let parallel = self.cfg.threads > 1 && self.host_offsets.len() > 2;
-        match (self.cfg.layout, parallel) {
-            (ReplicaLayout::Soa, false) => self.run_seq_soa(profile),
-            (ReplicaLayout::Soa, true) => self.run_par_soa(profile),
-            (ReplicaLayout::Legacy, false) => self.run_seq(profile),
-            (ReplicaLayout::Legacy, true) => self.run_par(profile),
-        }
+    /// [`Self::run`] without the horizon jump: every quantum of the trace
+    /// is executed. Same loop, same metrics — the equivalence suite uses it
+    /// as the independent run that horizon skipping and the staged phases
+    /// are held to.
+    #[doc(hidden)]
+    pub fn run_every_quantum(self) -> SimMetrics {
+        self.run_loop(false, None).0
     }
 
-    /// The sequential reference engine (`threads = 1`).
-    fn run_seq(
+    /// The quantum loop. Per executed quantum:
+    ///
+    /// 1. control plane: failures, due commands, election, monitor poll,
+    ///    adaptation check — cold protocol state, mirrored into the hot
+    ///    arena ([`Self::control_plane`]);
+    /// 2. emission bookkeeping: per-source arrival buffers, rate samples,
+    ///    the `pushed` ledger term, in source order;
+    /// 3. data-plane phase 1: source offers, then GPS water-filling per
+    ///    host ([`Self::schedule`]);
+    /// 4. data-plane phase 2: primaries' outputs offered downstream and
+    ///    folded into sink/latency/ledger accounting in ascending PE order;
+    ///    secondaries' outputs dropped ([`Self::forward`]);
+    /// 5. primary work attribution, then the next quantum to execute: the
+    ///    following one, or — with `jump` — the next-event horizon
+    ///    ([`Self::next_step`]).
+    fn run_loop(
         mut self,
+        jump: bool,
         mut profile: Option<&mut PhaseProfile>,
     ) -> (SimMetrics, Option<AdaptReport>) {
-        let mut clock = PhaseClock::new(profile.is_some());
+        let mut clock = PhaseClock::new(profile.as_deref_mut());
         let dt = self.cfg.quantum;
         let steps = (self.duration / dt).round() as u64;
-        let event_driven = self.cfg.advance == TimeAdvance::EventDriven;
-
-        // Reusable scratch buffers for the hot loop: the water-filling busy
-        // set (compacted in place instead of re-collected per round) and
-        // the per-quantum arrival batch.
-        let mut busy: Vec<usize> = Vec::with_capacity(self.replicas.len());
-        let mut arrivals: Vec<f64> = Vec::new();
+        let mut hot = HotArena::from_cold(&self.replicas);
+        let mut phases = self.phases();
+        let mut arrivals: Vec<Vec<f64>> = vec![Vec::new(); self.emitters.len()];
         // Incremental per-second metric bucketing: the bucket index is only
         // recomputed when a quantum starts past the current second's end.
-        let max_sec = self.metrics.input_rate.samples.len() - 1;
+        // (A zero-length trace has no buckets — and no quanta to need one.)
+        let max_sec = self.metrics.input_rate.samples.len().saturating_sub(1);
         let mut sec = 0usize;
         let mut sec_end = 1.0f64;
-        if let Some(p) = profile.as_deref_mut() {
-            clock.lap(&mut p.accounting_secs);
-        }
+        let mut quanta_executed = 0u64;
+        clock.lap(|p| &mut p.accounting_secs);
 
         let mut step = 0u64;
         while step < steps {
-            if let Some(p) = profile.as_deref_mut() {
-                p.quanta_executed += 1;
-            }
-            clock.reset();
+            quanta_executed += 1;
             let t = step as f64 * dt;
-            let te = (t + dt).min(self.duration);
             if t >= sec_end {
                 let f = t.floor();
                 sec = (f as usize).min(max_sec);
                 sec_end = f + 1.0;
             }
-
-            self.control_plane(t, None);
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.control_secs);
-            }
-
-            // Source emission: arrival timestamps double as birth stamps.
-            for si in 0..self.emitters.len() {
-                self.emitters[si].emit_into(te, &mut arrivals);
-                let n = arrivals.len();
-                if n == 0 {
-                    continue;
-                }
-                for &tt in &arrivals {
-                    self.control.record(si, tt);
-                }
-                self.metrics.source_emitted[si] += n as u64;
-                self.metrics.input_rate.samples[sec] += n as f64;
-                if self.swap_degraded {
-                    self.metrics.swap_downtime_tuples += n as u64;
-                }
-                for &(pe, port) in &self.source_out[si] {
-                    for r in 0..self.k {
-                        let idx = self.slot_of[pe * self.k + r];
-                        self.replicas[idx].offer(port, &arrivals, t);
-                    }
-                    self.pushed += (n * self.k) as u64;
-                }
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.emission_secs);
-            }
-
-            // CPU scheduling: water-filling per host over its contiguous
-            // arena slice. The busy set is collected once per host and
-            // compacted in place as replicas drain — eligibility cannot
-            // change inside a quantum and processing never enqueues work on
-            // other replicas, so this reaches the same fixed point as
-            // re-collecting every round.
-            for h in 0..self.host_offsets.len() - 1 {
-                let budget = self.placement_capacity[h] * dt;
-                let mut remaining = budget;
-                busy.clear();
-                busy.extend(
-                    (self.host_offsets[h]..self.host_offsets[h + 1])
-                        .filter(|&i| self.replicas[i].eligible(t) && self.replicas[i].has_work()),
-                );
-                let mut len = busy.len();
-                loop {
-                    if len == 0 || remaining <= budget * 1e-12 {
-                        break;
-                    }
-                    let share = remaining / len as f64;
-                    let mut progressed = false;
-                    for &i in &busy[..len] {
-                        let used = self.replicas[i].process(share);
-                        remaining -= used;
-                        if used > 0.0 {
-                            progressed = true;
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                    let mut w = 0;
-                    for r in 0..len {
-                        let i = busy[r];
-                        if self.replicas[i].has_work() {
-                            busy[w] = i;
-                            w += 1;
-                        }
-                    }
-                    len = w;
-                }
-                let used = budget - remaining;
-                self.metrics.host_utilization[h].samples[sec] += used / budget / (1.0 / dt);
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.scheduling_secs);
-            }
-
-            // Forward primary outputs; secondaries' outputs are suppressed
-            // (drained and dropped).
-            for pe in 0..self.num_pes {
-                let primary = self.proxy.primary(pe);
-                for r in 0..self.k {
-                    let idx = self.slot_of[pe * self.k + r];
-                    if self.replicas[idx].out_births.is_empty() {
-                        continue;
-                    }
-                    let births = std::mem::take(&mut self.replicas[idx].out_births);
-                    if primary == Some(r) {
-                        for &(succ, port) in &self.pe_out[pe] {
-                            for rr in 0..self.k {
-                                let di = self.slot_of[succ * self.k + rr];
-                                self.replicas[di].offer(port, &births, te);
-                            }
-                            self.pushed += (births.len() * self.k) as u64;
-                        }
-                        for &snk in &self.pe_sink_out[pe] {
-                            self.metrics.sink_received[snk] += births.len() as u64;
-                            self.metrics.output_rate.samples[sec] += births.len() as f64;
-                            for &b in &births {
-                                self.metrics.latency.record(te - b);
-                            }
-                        }
-                    }
-                    // Return the (cleared) buffer to avoid reallocation.
-                    let mut buf = births;
-                    buf.clear();
-                    self.replicas[idx].out_births = buf;
-                }
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.forwarding_secs);
-            }
-
-            self.attribute_and_snapshot();
-
-            step = if event_driven {
-                self.next_step(step, dt)
-            } else {
-                step + 1
+            let q = Tick {
+                t,
+                te: (t + dt).min(self.duration),
+                dt,
+                sec,
             };
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.accounting_secs);
-            }
-        }
 
-        if let Some(p) = profile.as_deref_mut() {
-            p.arena_bytes = replica_set_bytes(&self.replicas);
-            p.bytes_per_pe = p.arena_bytes as f64 / self.num_pes.max(1) as f64;
-        }
-        let report = self.adapt.take().map(|a| a.into_report());
-        let m = self.finalize();
-        if let Some(p) = profile {
-            clock.lap(&mut p.accounting_secs);
-        }
-        (m, report)
-    }
+            self.control_plane(t, &mut hot);
+            clock.lap(|p| &mut p.control_secs);
 
-    /// The host-parallel engine (`threads > 1`): per quantum, the
-    /// control plane and all cross-host accumulations stay on the
-    /// coordinator in the sequential engine's exact order, while the two
-    /// heavy phases fan out over disjoint host ranges of the arena:
-    ///
-    /// 1. coordinator: failures, commands, election, monitor, emission
-    ///    bookkeeping (per-source arrival buffers, rate samples, `pushed`);
-    /// 2. **parallel**: per host range — source offers replayed from
-    ///    per-host route tables (global offer order projected per
-    ///    destination), then GPS water-filling with per-worker busy
-    ///    scratch, utilization written to the worker's own host series;
-    /// 3. barrier; coordinator: stage each primary's `out_births` and fold
-    ///    sink/latency/ledger accounting in ascending PE order (the f64
-    ///    accumulation order of the sequential engine);
-    /// 4. **parallel**: destination-side forwarding offers replayed from
-    ///    per-host route tables against the staged birth buffers;
-    /// 5. barrier; coordinator: primary work attribution, snapshots, and
-    ///    the event-driven horizon.
-    ///
-    /// Hosts are independent within a quantum (offers and processing touch
-    /// only the destination replica), per-host order is preserved inside
-    /// each worker, and everything cross-host is coordinator-sequential —
-    /// which is why the metrics are bit-identical to [`Self::run_seq`],
-    /// and why `tests/equivalence.rs` can assert exact equality.
-    fn run_par(
-        mut self,
-        mut profile: Option<&mut PhaseProfile>,
-    ) -> (SimMetrics, Option<AdaptReport>) {
-        let mut clock = PhaseClock::new(profile.is_some());
-        let dt = self.cfg.quantum;
-        let steps = (self.duration / dt).round() as u64;
-        let event_driven = self.cfg.advance == TimeAdvance::EventDriven;
-        let num_hosts = self.host_offsets.len() - 1;
-        let nchunks = self.cfg.threads.min(num_hosts);
-        let chunks = chunk_hosts(&self.host_offsets, nchunks);
-        let pool = WorkerPool::new(chunks.len().saturating_sub(1));
-
-        assert!(
-            self.replicas.len() <= u32::MAX as usize,
-            "arena exceeds u32 route indexing"
-        );
-        // Per-host route tables: the sequential offer order projected onto
-        // each host (see `RouteEntry`).
-        let mut src_routes: Vec<Vec<RouteEntry>> = vec![Vec::new(); num_hosts];
-        for (si, outs) in self.source_out.iter().enumerate() {
-            for &(pe, port) in outs {
-                for r in 0..self.k {
-                    let idx = self.slot_of[pe * self.k + r];
-                    src_routes[self.replicas[idx].host].push((si as u32, idx as u32, port as u32));
-                }
-            }
-        }
-        let mut fwd_routes: Vec<Vec<RouteEntry>> = vec![Vec::new(); num_hosts];
-        for (pe, outs) in self.pe_out.iter().enumerate() {
-            for &(succ, port) in outs {
-                for rr in 0..self.k {
-                    let idx = self.slot_of[succ * self.k + rr];
-                    fwd_routes[self.replicas[idx].host].push((pe as u32, idx as u32, port as u32));
-                }
-            }
-        }
-
-        // Per-worker scratch (busy sets) and coordinator-owned staging
-        // buffers: one arrival buffer per source, one birth buffer per PE.
-        let mut scratches: Vec<Vec<usize>> = vec![Vec::new(); chunks.len()];
-        let mut arrival_bufs: Vec<Vec<f64>> = vec![Vec::new(); self.emitters.len()];
-        let mut staged: Vec<Vec<f64>> = vec![Vec::new(); self.num_pes];
-
-        let max_sec = self.metrics.input_rate.samples.len() - 1;
-        let mut sec = 0usize;
-        let mut sec_end = 1.0f64;
-        if let Some(p) = profile.as_deref_mut() {
-            clock.lap(&mut p.accounting_secs);
-        }
-
-        let mut step = 0u64;
-        while step < steps {
-            if let Some(p) = profile.as_deref_mut() {
-                p.quanta_executed += 1;
-            }
-            clock.reset();
-            let t = step as f64 * dt;
-            let te = (t + dt).min(self.duration);
-            if t >= sec_end {
-                let f = t.floor();
-                sec = (f as usize).min(max_sec);
-                sec_end = f + 1.0;
-            }
-
-            self.control_plane(t, None);
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.control_secs);
-            }
-
-            // Emission bookkeeping on the coordinator, in source order —
-            // the same per-second f64 accumulation order as the sequential
-            // engine. The offers themselves happen in the parallel phase.
-            for (si, buf) in arrival_bufs.iter_mut().enumerate() {
-                self.emitters[si].emit_into(te, buf);
+            // Arrival timestamps double as birth stamps.
+            for (si, buf) in arrivals.iter_mut().enumerate() {
+                self.emitters[si].emit_into(q.te, buf);
                 let n = buf.len();
                 if n == 0 {
                     continue;
@@ -790,532 +565,253 @@ impl Simulation {
                 if self.swap_degraded {
                     self.metrics.swap_downtime_tuples += n as u64;
                 }
-                for _ in &self.source_out[si] {
-                    self.pushed += (n * self.k) as u64;
-                }
+                self.pushed += (n * self.k * self.source_out[si].len()) as u64;
             }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.emission_secs);
-            }
+            clock.lap(|p| &mut p.emission_secs);
 
-            // Parallel phase 1: source offers + GPS water-filling, one
-            // task per disjoint host range.
-            {
-                let host_offsets = &self.host_offsets;
-                let capacity = &self.placement_capacity;
-                let src_routes = &src_routes;
-                let arrival_bufs = &arrival_bufs;
-                let mut rep_rest = &mut self.replicas[..];
-                let mut util_rest = &mut self.metrics.host_utilization[..];
-                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-                for (&(lo, hi), scratch) in chunks.iter().zip(scratches.iter_mut()) {
-                    let base = host_offsets[lo];
-                    let (chunk, rest) = rep_rest.split_at_mut(host_offsets[hi] - base);
-                    rep_rest = rest;
-                    let (util_chunk, urest) = util_rest.split_at_mut(hi - lo);
-                    util_rest = urest;
-                    tasks.push(Box::new(move || {
-                        schedule_chunk(
-                            chunk,
-                            util_chunk,
-                            scratch,
-                            src_routes,
-                            arrival_bufs,
-                            host_offsets,
-                            capacity,
-                            (lo, hi, base),
-                            t,
-                            dt,
-                            sec,
-                        );
-                    }));
-                }
-                pool.scope_run(tasks);
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.scheduling_secs);
-            }
+            self.schedule(&mut phases, &mut hot, &arrivals, q);
+            clock.lap(|p| &mut p.scheduling_secs);
 
-            // Stage forwarding on the coordinator in ascending PE order:
-            // take each primary's birth buffer, drop secondaries' buffers,
-            // and fold the ledger/sink/latency accounting exactly as the
-            // sequential engine does.
-            let mut forwarded = 0usize;
-            for (pe, stage) in staged.iter_mut().enumerate() {
-                let primary = self.proxy.primary(pe);
-                stage.clear();
-                for r in 0..self.k {
-                    let idx = self.slot_of[pe * self.k + r];
-                    if self.replicas[idx].out_births.is_empty() {
-                        continue;
-                    }
-                    if primary == Some(r) {
-                        std::mem::swap(&mut self.replicas[idx].out_births, stage);
-                    } else {
-                        self.replicas[idx].out_births.clear();
-                    }
-                }
-                let births: &[f64] = stage;
-                if births.is_empty() {
-                    continue;
-                }
-                forwarded += births.len() * self.pe_out[pe].len();
-                for _ in &self.pe_out[pe] {
-                    self.pushed += (births.len() * self.k) as u64;
-                }
-                for &snk in &self.pe_sink_out[pe] {
-                    self.metrics.sink_received[snk] += births.len() as u64;
-                    self.metrics.output_rate.samples[sec] += births.len() as f64;
-                    for &b in births {
-                        self.metrics.latency.record(te - b);
-                    }
-                }
-            }
+            self.forward(&mut phases, &mut hot, q);
+            clock.lap(|p| &mut p.forwarding_secs);
 
-            // Parallel phase 2: destination-side offers of the staged
-            // births. Skipped entirely when nothing was forwarded.
-            if forwarded > 0 {
-                let host_offsets = &self.host_offsets;
-                let fwd_routes = &fwd_routes;
-                let staged = &staged;
-                let mut rep_rest = &mut self.replicas[..];
-                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-                for &(lo, hi) in &chunks {
-                    let base = host_offsets[lo];
-                    let (chunk, rest) = rep_rest.split_at_mut(host_offsets[hi] - base);
-                    rep_rest = rest;
-                    tasks.push(Box::new(move || {
-                        for routes in &fwd_routes[lo..hi] {
-                            for &(src_pe, idx, port) in routes {
-                                let births = &staged[src_pe as usize];
-                                if births.is_empty() {
-                                    continue;
-                                }
-                                chunk[idx as usize - base].offer(port as usize, births, te);
-                            }
-                        }
-                    }));
-                }
-                pool.scope_run(tasks);
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.forwarding_secs);
-            }
-
-            self.attribute_and_snapshot();
-
-            step = if event_driven {
-                self.next_step(step, dt)
+            self.attribute_and_snapshot(&mut hot);
+            step = if jump {
+                self.next_step(step, dt, &hot)
             } else {
                 step + 1
             };
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.accounting_secs);
-            }
+            clock.lap(|p| &mut p.accounting_secs);
         }
 
-        if let Some(p) = profile.as_deref_mut() {
-            p.arena_bytes = replica_set_bytes(&self.replicas);
-            p.bytes_per_pe = p.arena_bytes as f64 / self.num_pes.max(1) as f64;
-        }
+        let arena_bytes = hot.bytes();
         let report = self.adapt.take().map(|a| a.into_report());
-        let m = self.finalize();
+        let num_pes = self.num_pes;
+        let m = self.finalize(&hot);
+        clock.lap(|p| &mut p.accounting_secs);
         if let Some(p) = profile {
-            clock.lap(&mut p.accounting_secs);
+            p.quanta_executed = quanta_executed;
+            p.arena_bytes = arena_bytes;
+            p.bytes_per_pe = arena_bytes as f64 / num_pes.max(1) as f64;
         }
         (m, report)
     }
 
-    /// The sequential struct-of-arrays engine (`threads = 1`, default
-    /// layout): the same quantum structure as [`Self::run_seq`], with the
-    /// data plane operating on the [`HotArena`]'s flat arrays instead of
-    /// the cold `Replica` structs. The cold arena receives only protocol
-    /// transitions (commands, failures, recoveries, election), each
-    /// mirrored into the hot arena at the control-plane sync boundary;
-    /// the busy scan of the water-filling loop is one sentinel compare
-    /// and one counter test per replica over dense f64/u32 arrays.
-    fn run_seq_soa(
-        mut self,
-        mut profile: Option<&mut PhaseProfile>,
-    ) -> (SimMetrics, Option<AdaptReport>) {
-        let mut clock = PhaseClock::new(profile.is_some());
-        let dt = self.cfg.quantum;
-        let steps = (self.duration / dt).round() as u64;
-        let event_driven = self.cfg.advance == TimeAdvance::EventDriven;
-        let mut hot = HotArena::from_cold(&self.replicas);
-        let mut scratch = WfScratch::default();
-        let mut arrivals: Vec<f64> = Vec::new();
-        let max_sec = self.metrics.input_rate.samples.len() - 1;
-        let mut sec = 0usize;
-        let mut sec_end = 1.0f64;
-        if let Some(p) = profile.as_deref_mut() {
-            clock.lap(&mut p.accounting_secs);
-        }
-
-        let mut step = 0u64;
-        while step < steps {
-            if let Some(p) = profile.as_deref_mut() {
-                p.quanta_executed += 1;
-            }
-            clock.reset();
-            let t = step as f64 * dt;
-            let te = (t + dt).min(self.duration);
-            if t >= sec_end {
-                let f = t.floor();
-                sec = (f as usize).min(max_sec);
-                sec_end = f + 1.0;
-            }
-
-            self.control_plane(t, Some(&mut hot));
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.control_secs);
-            }
-
-            let mut hc = hot.full();
-
-            // Source emission: identical bookkeeping order to run_seq.
-            for si in 0..self.emitters.len() {
-                self.emitters[si].emit_into(te, &mut arrivals);
-                let n = arrivals.len();
-                if n == 0 {
-                    continue;
-                }
-                for &tt in &arrivals {
-                    self.control.record(si, tt);
-                }
-                self.metrics.source_emitted[si] += n as u64;
-                self.metrics.input_rate.samples[sec] += n as f64;
-                if self.swap_degraded {
-                    self.metrics.swap_downtime_tuples += n as u64;
-                }
-                for &(pe, port) in &self.source_out[si] {
-                    for r in 0..self.k {
-                        let idx = self.slot_of[pe * self.k + r];
-                        hc.offer(idx, port, &arrivals, t);
-                    }
-                    self.pushed += (n * self.k) as u64;
-                }
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.emission_secs);
-            }
-
-            // GPS water-filling per host over the flat hot arrays; same
-            // fixed-point loop (and f64 operation order) as run_seq, with
-            // the per-round inner step fused into the arena.
-            for h in 0..self.host_offsets.len() - 1 {
-                let budget = self.placement_capacity[h] * dt;
-                let remaining = hc.water_fill(
-                    self.host_offsets[h],
-                    self.host_offsets[h + 1],
-                    t,
-                    budget,
-                    &mut scratch,
-                );
-                let used = budget - remaining;
-                self.metrics.host_utilization[h].samples[sec] += used / budget / (1.0 / dt);
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.scheduling_secs);
-            }
-
-            // Forwarding: identical per-PE order to run_seq.
-            for pe in 0..self.num_pes {
-                let primary = self.proxy.primary(pe);
-                for r in 0..self.k {
-                    let idx = self.slot_of[pe * self.k + r];
-                    if hc.out_births[idx].is_empty() {
-                        continue;
-                    }
-                    let births = std::mem::take(&mut hc.out_births[idx]);
-                    if primary == Some(r) {
-                        for &(succ, port) in &self.pe_out[pe] {
-                            for rr in 0..self.k {
-                                let di = self.slot_of[succ * self.k + rr];
-                                hc.offer(di, port, &births, te);
-                            }
-                            self.pushed += (births.len() * self.k) as u64;
-                        }
-                        for &snk in &self.pe_sink_out[pe] {
-                            self.metrics.sink_received[snk] += births.len() as u64;
-                            self.metrics.output_rate.samples[sec] += births.len() as f64;
-                            for &b in &births {
-                                self.metrics.latency.record(te - b);
-                            }
-                        }
-                    }
-                    // Return the (cleared) buffer to avoid reallocation.
-                    let mut buf = births;
-                    buf.clear();
-                    hc.out_births[idx] = buf;
-                }
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.forwarding_secs);
-            }
-
-            self.attribute_and_snapshot_soa(&mut hot);
-
-            step = if event_driven {
-                self.next_step_soa(step, dt, &hot)
-            } else {
-                step + 1
-            };
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.accounting_secs);
-            }
-        }
-
-        if let Some(p) = profile.as_deref_mut() {
-            p.arena_bytes = hot.bytes();
-            p.bytes_per_pe = p.arena_bytes as f64 / self.num_pes.max(1) as f64;
-        }
-        let report = self.adapt.take().map(|a| a.into_report());
-        let m = self.finalize_soa(hot);
-        if let Some(p) = profile {
-            clock.lap(&mut p.accounting_secs);
-        }
-        (m, report)
-    }
-
-    /// The host-parallel struct-of-arrays engine: [`Self::run_par`]'s
-    /// quantum structure with the hot arena split into disjoint chunk
-    /// views at the same host-range boundaries (each per-replica and
-    /// per-port array splits at the matching `port_off` offsets), so each
-    /// worker owns its slice of every hot array with no aliasing and no
-    /// locks. Coordinator phases touch the hot arena through the full
-    /// view between barriers.
-    fn run_par_soa(
-        mut self,
-        mut profile: Option<&mut PhaseProfile>,
-    ) -> (SimMetrics, Option<AdaptReport>) {
-        let mut clock = PhaseClock::new(profile.is_some());
-        let dt = self.cfg.quantum;
-        let steps = (self.duration / dt).round() as u64;
-        let event_driven = self.cfg.advance == TimeAdvance::EventDriven;
+    /// Pick how this run executes its data-plane phases: staged over a
+    /// worker pool when there are threads to use and at least two hosts to
+    /// split, direct otherwise.
+    fn phases(&self) -> Phases {
         let num_hosts = self.host_offsets.len() - 1;
-        let nchunks = self.cfg.threads.min(num_hosts);
-        let chunks = chunk_hosts(&self.host_offsets, nchunks);
-        let pool = WorkerPool::new(chunks.len().saturating_sub(1));
-        let mut hot = HotArena::from_cold(&self.replicas);
-        // Arena-index bounds of each host-range chunk, for splitting the
-        // hot arrays.
-        let bounds: Vec<(usize, usize)> = chunks
-            .iter()
-            .map(|&(lo, hi)| (self.host_offsets[lo], self.host_offsets[hi]))
-            .collect();
-
+        if self.cfg.threads <= 1 || num_hosts < 2 {
+            return Phases::Direct(WfScratch::default());
+        }
+        let chunks = chunk_hosts(&self.host_offsets, self.cfg.threads.min(num_hosts));
         assert!(
             self.replicas.len() <= u32::MAX as usize,
             "arena exceeds u32 route indexing"
         );
-        // Per-host route tables: the sequential offer order projected onto
-        // each host (see `RouteEntry`).
-        let mut src_routes: Vec<Vec<RouteEntry>> = vec![Vec::new(); num_hosts];
-        for (si, outs) in self.source_out.iter().enumerate() {
-            for &(pe, port) in outs {
-                for r in 0..self.k {
-                    let idx = self.slot_of[pe * self.k + r];
-                    src_routes[self.replicas[idx].host].push((si as u32, idx as u32, port as u32));
+        // The global offer order of `outs` projected onto each host.
+        let routes = |outs: &[Vec<(usize, usize)>]| {
+            let mut per_host: Vec<Vec<RouteEntry>> = vec![Vec::new(); num_hosts];
+            for (origin, outs) in outs.iter().enumerate() {
+                for &(pe, port) in outs {
+                    for r in 0..self.k {
+                        let idx = self.slot_of[pe * self.k + r];
+                        per_host[self.replicas[idx].host].push((
+                            origin as u32,
+                            idx as u32,
+                            port as u32,
+                        ));
+                    }
                 }
             }
-        }
-        let mut fwd_routes: Vec<Vec<RouteEntry>> = vec![Vec::new(); num_hosts];
-        for (pe, outs) in self.pe_out.iter().enumerate() {
-            for &(succ, port) in outs {
-                for rr in 0..self.k {
-                    let idx = self.slot_of[succ * self.k + rr];
-                    fwd_routes[self.replicas[idx].host].push((pe as u32, idx as u32, port as u32));
+            per_host
+        };
+        Phases::Staged(Staged {
+            pool: WorkerPool::new(chunks.len() - 1),
+            bounds: chunks
+                .iter()
+                .map(|&(lo, hi)| (self.host_offsets[lo], self.host_offsets[hi]))
+                .collect(),
+            src_routes: routes(&self.source_out),
+            fwd_routes: routes(&self.pe_out),
+            scratches: vec![WfScratch::default(); chunks.len()],
+            births: vec![Vec::new(); self.num_pes],
+            chunks,
+        })
+    }
+
+    /// Data-plane phase 1: offer this quantum's arrivals to every replica
+    /// of the sources' successors, then share each host's CPU budget among
+    /// its busy replicas (GPS water-filling) and sample its utilization.
+    fn schedule(
+        &mut self,
+        phases: &mut Phases,
+        hot: &mut HotArena,
+        arrivals: &[Vec<f64>],
+        q: Tick,
+    ) {
+        let host_offsets = &self.host_offsets[..];
+        let capacity = &self.placement_capacity[..];
+        let util = &mut self.metrics.host_utilization[..];
+        match phases {
+            Phases::Direct(scratch) => {
+                let mut view = hot.full();
+                for (buf, outs) in arrivals.iter().zip(&self.source_out) {
+                    if buf.is_empty() {
+                        continue;
+                    }
+                    for &(pe, port) in outs {
+                        for r in 0..self.k {
+                            view.offer(self.slot_of[pe * self.k + r], port, buf, q.t);
+                        }
+                    }
                 }
+                fill_hosts(&mut view, util, scratch, host_offsets, capacity, q);
             }
-        }
-
-        let mut scratches: Vec<WfScratch> = vec![WfScratch::default(); chunks.len()];
-        let mut arrival_bufs: Vec<Vec<f64>> = vec![Vec::new(); self.emitters.len()];
-        let mut staged: Vec<Vec<f64>> = vec![Vec::new(); self.num_pes];
-
-        let max_sec = self.metrics.input_rate.samples.len() - 1;
-        let mut sec = 0usize;
-        let mut sec_end = 1.0f64;
-        if let Some(p) = profile.as_deref_mut() {
-            clock.lap(&mut p.accounting_secs);
-        }
-
-        let mut step = 0u64;
-        while step < steps {
-            if let Some(p) = profile.as_deref_mut() {
-                p.quanta_executed += 1;
-            }
-            clock.reset();
-            let t = step as f64 * dt;
-            let te = (t + dt).min(self.duration);
-            if t >= sec_end {
-                let f = t.floor();
-                sec = (f as usize).min(max_sec);
-                sec_end = f + 1.0;
-            }
-
-            self.control_plane(t, Some(&mut hot));
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.control_secs);
-            }
-
-            // Emission bookkeeping on the coordinator, in source order.
-            for (si, buf) in arrival_bufs.iter_mut().enumerate() {
-                self.emitters[si].emit_into(te, buf);
-                let n = buf.len();
-                if n == 0 {
-                    continue;
-                }
-                for &tt in buf.iter() {
-                    self.control.record(si, tt);
-                }
-                self.metrics.source_emitted[si] += n as u64;
-                self.metrics.input_rate.samples[sec] += n as f64;
-                if self.swap_degraded {
-                    self.metrics.swap_downtime_tuples += n as u64;
-                }
-                for _ in &self.source_out[si] {
-                    self.pushed += (n * self.k) as u64;
-                }
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.emission_secs);
-            }
-
-            // Parallel phase 1: source offers + GPS water-filling over
-            // disjoint hot-array chunk views.
-            {
-                let host_offsets = &self.host_offsets;
-                let capacity = &self.placement_capacity;
-                let src_routes = &src_routes;
-                let arrival_bufs = &arrival_bufs;
-                let views = hot.chunks(&bounds);
-                let mut util_rest = &mut self.metrics.host_utilization[..];
-                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-                for ((&(lo, hi), mut view), scratch) in
-                    chunks.iter().zip(views).zip(scratches.iter_mut())
+            Phases::Staged(s) => {
+                let src_routes = &s.src_routes;
+                let mut util_rest = util;
+                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(s.chunks.len());
+                for ((&(lo, hi), mut view), scratch) in s
+                    .chunks
+                    .iter()
+                    .zip(hot.chunks(&s.bounds))
+                    .zip(s.scratches.iter_mut())
                 {
-                    let base = host_offsets[lo];
-                    let (util_chunk, urest) = util_rest.split_at_mut(hi - lo);
-                    util_rest = urest;
+                    let (util_chunk, rest) = util_rest.split_at_mut(hi - lo);
+                    util_rest = rest;
                     tasks.push(Box::new(move || {
-                        schedule_chunk_soa(
+                        replay(
+                            &mut view,
+                            &src_routes[lo..hi],
+                            arrivals,
+                            host_offsets[lo],
+                            q.t,
+                        );
+                        let offsets = &host_offsets[lo..=hi];
+                        fill_hosts(
                             &mut view,
                             util_chunk,
                             scratch,
-                            src_routes,
-                            arrival_bufs,
-                            host_offsets,
-                            capacity,
-                            (lo, hi, base),
-                            t,
-                            dt,
-                            sec,
+                            offsets,
+                            &capacity[lo..hi],
+                            q,
                         );
                     }));
                 }
-                pool.scope_run(tasks);
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.scheduling_secs);
-            }
-
-            // Stage forwarding on the coordinator in ascending PE order,
-            // exactly as run_par does against the cold arena.
-            let mut forwarded = 0usize;
-            for (pe, stage) in staged.iter_mut().enumerate() {
-                let primary = self.proxy.primary(pe);
-                stage.clear();
-                for r in 0..self.k {
-                    let idx = self.slot_of[pe * self.k + r];
-                    if hot.out_births[idx].is_empty() {
-                        continue;
-                    }
-                    if primary == Some(r) {
-                        std::mem::swap(&mut hot.out_births[idx], stage);
-                    } else {
-                        hot.out_births[idx].clear();
-                    }
-                }
-                let births: &[f64] = stage;
-                if births.is_empty() {
-                    continue;
-                }
-                forwarded += births.len() * self.pe_out[pe].len();
-                for _ in &self.pe_out[pe] {
-                    self.pushed += (births.len() * self.k) as u64;
-                }
-                for &snk in &self.pe_sink_out[pe] {
-                    self.metrics.sink_received[snk] += births.len() as u64;
-                    self.metrics.output_rate.samples[sec] += births.len() as f64;
-                    for &b in births {
-                        self.metrics.latency.record(te - b);
-                    }
-                }
-            }
-
-            // Parallel phase 2: destination-side offers of the staged
-            // births. Skipped entirely when nothing was forwarded.
-            if forwarded > 0 {
-                let fwd_routes = &fwd_routes;
-                let staged = &staged;
-                let host_offsets = &self.host_offsets;
-                let views = hot.chunks(&bounds);
-                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-                for (&(lo, hi), mut view) in chunks.iter().zip(views) {
-                    let base = host_offsets[lo];
-                    tasks.push(Box::new(move || {
-                        for routes in &fwd_routes[lo..hi] {
-                            for &(src_pe, idx, port) in routes {
-                                let births = &staged[src_pe as usize];
-                                if births.is_empty() {
-                                    continue;
-                                }
-                                view.offer(idx as usize - base, port as usize, births, te);
-                            }
-                        }
-                    }));
-                }
-                pool.scope_run(tasks);
-            }
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.forwarding_secs);
-            }
-
-            self.attribute_and_snapshot_soa(&mut hot);
-
-            step = if event_driven {
-                self.next_step_soa(step, dt, &hot)
-            } else {
-                step + 1
-            };
-            if let Some(p) = profile.as_deref_mut() {
-                clock.lap(&mut p.accounting_secs);
+                s.pool.scope_run(tasks);
             }
         }
-
-        if let Some(p) = profile.as_deref_mut() {
-            p.arena_bytes = hot.bytes();
-            p.bytes_per_pe = p.arena_bytes as f64 / self.num_pes.max(1) as f64;
-        }
-        let report = self.adapt.take().map(|a| a.into_report());
-        let m = self.finalize_soa(hot);
-        if let Some(p) = profile {
-            clock.lap(&mut p.accounting_secs);
-        }
-        (m, report)
     }
 
-    /// Per-quantum control plane, identical for all engines: failure-plan
-    /// transitions, due HAController commands, primary election, the
-    /// monitor poll, and (when enabled) the adaptation check — all routed
-    /// through the shared proxy protocol against the cold arena. When a
-    /// hot arena is attached (struct-of-arrays layout), every slot
-    /// transition is mirrored into it at this sync boundary — the only
-    /// place hot and cold state meet between construction and finalize.
-    fn control_plane(&mut self, t: f64, mut hot: Option<&mut HotArena>) {
-        self.apply_failures(t, hot.as_deref_mut());
+    /// Data-plane phase 2, in ascending PE order: the primary's outputs of
+    /// this quantum are offered to every replica of each successor and
+    /// accounted; secondaries' outputs are suppressed (drained and
+    /// dropped). Offers only enqueue, so nothing forwarded here is
+    /// forwarded again before the next quantum.
+    fn forward(&mut self, phases: &mut Phases, hot: &mut HotArena, q: Tick) {
+        match phases {
+            Phases::Direct(_) => {
+                let mut view = hot.full();
+                for pe in 0..self.num_pes {
+                    let primary = self.proxy.primary(pe);
+                    for r in 0..self.k {
+                        let idx = self.slot_of[pe * self.k + r];
+                        if view.out_births[idx].is_empty() {
+                            continue;
+                        }
+                        let mut births = std::mem::take(&mut view.out_births[idx]);
+                        if primary == Some(r) {
+                            for &(succ, port) in &self.pe_out[pe] {
+                                for rr in 0..self.k {
+                                    view.offer(
+                                        self.slot_of[succ * self.k + rr],
+                                        port,
+                                        &births,
+                                        q.te,
+                                    );
+                                }
+                            }
+                            self.account_forwarded(pe, &births, q);
+                        }
+                        // Return the (cleared) buffer to avoid reallocation.
+                        births.clear();
+                        view.out_births[idx] = births;
+                    }
+                }
+            }
+            Phases::Staged(s) => {
+                // Coordinator: move each primary's outputs into the PE's
+                // staging buffer and account them, so the parallel replay
+                // below reads immutable buffers.
+                let mut forwarded = false;
+                for (pe, stage) in s.births.iter_mut().enumerate() {
+                    let primary = self.proxy.primary(pe);
+                    stage.clear();
+                    for r in 0..self.k {
+                        let out = &mut hot.out_births[self.slot_of[pe * self.k + r]];
+                        if out.is_empty() {
+                            continue;
+                        }
+                        if primary == Some(r) {
+                            std::mem::swap(out, stage);
+                        } else {
+                            out.clear();
+                        }
+                    }
+                    if !stage.is_empty() {
+                        forwarded |= !self.pe_out[pe].is_empty();
+                        self.account_forwarded(pe, stage, q);
+                    }
+                }
+                if !forwarded {
+                    return;
+                }
+                let (fwd_routes, births) = (&s.fwd_routes, &s.births);
+                let host_offsets = &self.host_offsets[..];
+                let tasks: Vec<Task<'_>> = s
+                    .chunks
+                    .iter()
+                    .zip(hot.chunks(&s.bounds))
+                    .map(|(&(lo, hi), mut view)| {
+                        Box::new(move || {
+                            replay(
+                                &mut view,
+                                &fwd_routes[lo..hi],
+                                births,
+                                host_offsets[lo],
+                                q.te,
+                            );
+                        }) as Task<'_>
+                    })
+                    .collect();
+                s.pool.scope_run(tasks);
+            }
+        }
+    }
+
+    /// Ledger, sink, and latency accounting for the outputs `births` that
+    /// PE `pe`'s primary forwards in this quantum.
+    fn account_forwarded(&mut self, pe: usize, births: &[f64], q: Tick) {
+        self.pushed += (births.len() * self.k * self.pe_out[pe].len()) as u64;
+        for &snk in &self.pe_sink_out[pe] {
+            self.metrics.sink_received[snk] += births.len() as u64;
+            self.metrics.output_rate.samples[q.sec] += births.len() as f64;
+            for &b in births {
+                self.metrics.latency.record(q.te - b);
+            }
+        }
+    }
+
+    /// Per-quantum control plane: failure-plan transitions, due
+    /// HAController commands, primary election, the monitor poll, and
+    /// (when enabled) the adaptation check — all routed through the shared
+    /// proxy protocol against the cold arena. Every slot transition is
+    /// mirrored into the hot arena here — the only place hot and cold
+    /// state meet between construction and finalize.
+    fn control_plane(&mut self, t: f64, hot: &mut HotArena) {
+        self.apply_failures(t, hot);
         for cmd in self.control.take_due(t) {
             self.metrics.commands_applied += 1;
             let mut view = ArenaSlots {
@@ -1324,14 +820,12 @@ impl Simulation {
             };
             self.proxy
                 .apply_command(&mut view, &cmd, t, self.cfg.sync_delay);
-            if let Some(h) = hot.as_deref_mut() {
-                let s = cmd.slot();
-                let idx = self.slot_of[s.pe_dense * self.k + s.replica];
-                let state = self.replicas[idx].state;
-                match cmd {
-                    Command::Activate(_) => h.on_activate(idx, &state),
-                    Command::Deactivate(_) => h.on_deactivate(idx, &state),
-                }
+            let s = cmd.slot();
+            let idx = self.slot_of[s.pe_dense * self.k + s.replica];
+            let state = self.replicas[idx].state;
+            match cmd {
+                Command::Activate(_) => hot.on_activate(idx, &state),
+                Command::Deactivate(_) => hot.on_deactivate(idx, &state),
             }
         }
         self.proxy.elect(
@@ -1362,24 +856,38 @@ impl Simulation {
         }
     }
 
-    /// Attribute logical work to the current primaries, then re-arm the
-    /// per-quantum processed snapshots.
-    fn attribute_and_snapshot(&mut self) {
-        for pe in 0..self.num_pes {
-            if let Some(r) = self.proxy.primary(pe) {
-                let rep = &self.replicas[self.slot_of[pe * self.k + r]];
-                self.metrics.pe_processed[pe] += rep.processed - rep.processed_snapshot;
+    /// Consult the failure plan and route state changes through the shared
+    /// proxy protocol, mirroring each into the hot arena right after the
+    /// cold transition. Detection is delayed: the proxy blocks re-election
+    /// of a failed primary's PE until `t + detection_delay`. Slots are
+    /// visited in dense PE-major order.
+    fn apply_failures(&mut self, t: f64, hot: &mut HotArena) {
+        for s in 0..self.slot_of.len() {
+            let i = self.slot_of[s];
+            let (pe, r) = (self.replicas[i].pe_dense, self.replicas[i].replica);
+            let dead = self.plan.is_dead_on(self.replicas[i].host, pe, r, t);
+            // Act only when the plan and the slot's liveness disagree.
+            if dead == self.replicas[i].state.alive {
+                let mut view = ArenaSlots {
+                    arena: &mut self.replicas,
+                    slot_of: &self.slot_of,
+                };
+                if dead {
+                    self.proxy
+                        .fail_slot(&mut view, pe, r, t + self.cfg.detection_delay);
+                    hot.on_kill(i, &self.replicas[i].state);
+                } else {
+                    self.proxy
+                        .recover_slot(&mut view, pe, r, t, self.cfg.sync_delay);
+                    hot.on_recover(i, &self.replicas[i].state);
+                }
             }
-        }
-        for rep in &mut self.replicas {
-            rep.processed_snapshot = rep.processed;
         }
     }
 
-    /// [`Self::attribute_and_snapshot`] against the hot arena's dense
-    /// counter arrays; the cold replicas' counters stay untouched (and
-    /// zero) for the whole run.
-    fn attribute_and_snapshot_soa(&mut self, hot: &mut HotArena) {
+    /// Attribute logical work to the current primaries, then re-arm the
+    /// per-quantum processed snapshots.
+    fn attribute_and_snapshot(&mut self, hot: &mut HotArena) {
         for pe in 0..self.num_pes {
             if let Some(r) = self.proxy.primary(pe) {
                 let idx = self.slot_of[pe * self.k + r];
@@ -1389,43 +897,58 @@ impl Simulation {
         hot.processed_snapshot.copy_from_slice(&hot.processed);
     }
 
-    /// Final accounting: fold every replica into the conservation ledger
-    /// (synchronous offers mean the transport terms stay zero). Replicas
-    /// are visited in dense PE-major order so the exported per-replica
-    /// vectors and the per-host f64 accumulation keep the historical
-    /// order.
-    fn finalize(mut self) -> SimMetrics {
-        let mut conservation = Conservation {
-            pushed: self.pushed,
-            ..Default::default()
-        };
-        for &idx in &self.slot_of {
-            let rep = &self.replicas[idx];
-            conservation.tally_replica(rep);
-            self.metrics.host_cpu_seconds[rep.host] +=
-                rep.cycles_used / self.placement_capacity[rep.host];
-            self.metrics
-                .replica_port_processed
-                .push(rep.ports.iter().map(|p| p.processed).collect());
-            self.metrics.replica_emitted.push(rep.emitted);
-            self.metrics.replica_cycles.push(rep.cycles_used);
+    /// The next quantum index to execute after finishing `step`. While any
+    /// replica holds queued work, the very next quantum runs (GPS
+    /// water-filling continues at full resolution). Otherwise virtual time
+    /// jumps toward the next-event horizon: the earliest of the next source
+    /// arrival, due command, monitor poll, adaptation check, failure-plan
+    /// transition, detection-blackout expiry, and sync-window expiry — the
+    /// last read off `eligible_from`, where a finite sentinel strictly
+    /// beyond `t` is exactly a pending sync window (dead or idle replicas
+    /// sit at +inf, running ones at -inf). The landing quantum is
+    /// deliberately one early — executing an extra quiescent quantum is a
+    /// provable no-op, while skipping a live one would change the run — so
+    /// grid rounding can never overshoot the quantum in which an event
+    /// first takes effect.
+    fn next_step(&self, step: u64, dt: f64, hot: &HotArena) -> u64 {
+        if hot.has_any_work() {
+            return step + 1;
         }
-        self.metrics.queue_drops = conservation.queue_drops;
-        self.metrics.idle_discards = conservation.idle_discards;
-        self.metrics.conservation = conservation;
-        self.metrics.config_switches = self.control.switches();
-        self.metrics.strategy_swaps = self.control.swaps();
-        self.metrics.failovers = self.proxy.failovers();
-        let _ = self.num_sinks;
-        self.metrics
+        let t = step as f64 * dt;
+        let sync_expiries = hot
+            .eligible_from
+            .iter()
+            .filter(|&&ef| ef > t && ef.is_finite())
+            .map(|&ef| Some(ef));
+        let horizon = self
+            .emitters
+            .iter()
+            .map(SourceEmitter::next_arrival)
+            .chain([
+                self.control.next_due(),
+                self.control.next_poll(),
+                self.adapt.as_ref().map(AdaptiveController::next_check),
+                self.plan.next_transition(t),
+                self.proxy.next_unblock(t),
+            ])
+            .chain(sync_expiries)
+            .flatten()
+            .fold(f64::INFINITY, f64::min);
+        if horizon.is_infinite() {
+            // Nothing can ever happen again: fast-forward past the end.
+            return u64::MAX;
+        }
+        let target = (horizon / dt).floor() as u64;
+        target.saturating_sub(1).max(step + 1)
     }
 
-    /// [`Self::finalize`] for the struct-of-arrays engines: the data-plane
-    /// ledger lives entirely in the hot arena (the cold replicas never saw
-    /// an offer), while host placement still comes from the cold structs.
-    /// Iteration order over `slot_of` and the per-host f64 accumulation
-    /// order match `finalize` exactly.
-    fn finalize_soa(mut self, hot: HotArena) -> SimMetrics {
+    /// Final accounting: fold every replica into the conservation ledger
+    /// (synchronous offers mean the transport terms stay zero). The
+    /// data-plane ledger lives entirely in the hot arena; host placement
+    /// comes from the cold structs. Replicas are visited in dense PE-major
+    /// order so the exported per-replica vectors and the per-host f64
+    /// accumulation keep the historical order.
+    fn finalize(mut self, hot: &HotArena) -> SimMetrics {
         let mut conservation = Conservation {
             pushed: self.pushed,
             ..Default::default()
@@ -1454,138 +977,6 @@ impl Simulation {
         self.metrics.strategy_swaps = self.control.swaps();
         self.metrics.failovers = self.proxy.failovers();
         self.metrics
-    }
-
-    /// The next quantum index the event-driven engine must execute after
-    /// finishing `step`. While any replica holds queued work, the very next
-    /// quantum runs (GPS water-filling continues at full resolution).
-    /// Otherwise virtual time jumps toward the next-event horizon: the
-    /// earliest of the next source arrival, due command, monitor poll,
-    /// failure-plan transition, sync-window expiry, and detection-blackout
-    /// expiry. The landing quantum is deliberately one early — executing an
-    /// extra quiescent quantum is a provable no-op, while skipping a live
-    /// one would change the run — so grid rounding can never overshoot the
-    /// quantum in which an event first takes effect.
-    fn next_step(&self, step: u64, dt: f64) -> u64 {
-        if self.replicas.iter().any(|r| r.has_work()) {
-            return step + 1;
-        }
-        let t = step as f64 * dt;
-        let mut horizon = f64::INFINITY;
-        let mut consider = |ev: Option<f64>| {
-            if let Some(e) = ev {
-                if e < horizon {
-                    horizon = e;
-                }
-            }
-        };
-        for e in &self.emitters {
-            consider(e.next_arrival());
-        }
-        consider(self.control.next_due());
-        consider(self.control.next_poll());
-        if let Some(a) = &self.adapt {
-            consider(Some(a.next_check()));
-        }
-        consider(self.plan.next_transition(t));
-        consider(self.proxy.next_unblock(t));
-        for r in &self.replicas {
-            consider(r.next_work_instant(t));
-        }
-        if horizon.is_infinite() {
-            // Nothing can ever happen again: fast-forward past the end.
-            return u64::MAX;
-        }
-        let target = (horizon / dt).floor() as u64;
-        target.saturating_sub(1).max(step + 1)
-    }
-
-    /// [`Self::next_step`] against the hot arena. `queued` replaces the
-    /// cold `has_work` scan, and `eligible_from` encodes the per-replica
-    /// transition horizon: a finite sentinel strictly beyond `t` is
-    /// exactly a pending sync-window expiry (dead or idle replicas sit at
-    /// +inf, running ones at -inf), matching `next_work_instant` on a
-    /// workless arena.
-    fn next_step_soa(&self, step: u64, dt: f64, hot: &HotArena) -> u64 {
-        if hot.has_any_work() {
-            return step + 1;
-        }
-        let t = step as f64 * dt;
-        let mut horizon = f64::INFINITY;
-        let mut consider = |ev: Option<f64>| {
-            if let Some(e) = ev {
-                if e < horizon {
-                    horizon = e;
-                }
-            }
-        };
-        for e in &self.emitters {
-            consider(e.next_arrival());
-        }
-        consider(self.control.next_due());
-        consider(self.control.next_poll());
-        if let Some(a) = &self.adapt {
-            consider(Some(a.next_check()));
-        }
-        consider(self.plan.next_transition(t));
-        consider(self.proxy.next_unblock(t));
-        for &ef in &hot.eligible_from {
-            if ef > t && ef.is_finite() {
-                consider(Some(ef));
-            }
-        }
-        if horizon.is_infinite() {
-            // Nothing can ever happen again: fast-forward past the end.
-            return u64::MAX;
-        }
-        let target = (horizon / dt).floor() as u64;
-        target.saturating_sub(1).max(step + 1)
-    }
-
-    /// Consult the failure plan and route state changes through the shared
-    /// proxy protocol. Detection is delayed: the proxy blocks re-election
-    /// of a failed primary's PE until `t + detection_delay`. Slots are
-    /// visited in dense PE-major order, matching the historical sweep.
-    /// Failures and recoveries are mirrored into the hot arena (when
-    /// attached) right after the cold transition.
-    fn apply_failures(&mut self, t: f64, mut hot: Option<&mut HotArena>) {
-        for s in 0..self.slot_of.len() {
-            let i = self.slot_of[s];
-            let pe = self.replicas[i].pe_dense;
-            let r = self.replicas[i].replica;
-            let dead = {
-                // FailurePlan::is_dead needs the placement only for host
-                // lookups; replica.host already has it.
-                match &self.plan {
-                    FailurePlan::None => false,
-                    FailurePlan::WorstCase { crashed } => crashed[pe] == r,
-                    FailurePlan::HostCrash { host, at, duration } => {
-                        self.replicas[i].host == host.index() && t >= *at && t < *at + *duration
-                    }
-                }
-            };
-            if dead && self.replicas[i].state.alive {
-                let mut view = ArenaSlots {
-                    arena: &mut self.replicas,
-                    slot_of: &self.slot_of,
-                };
-                self.proxy
-                    .fail_slot(&mut view, pe, r, t + self.cfg.detection_delay);
-                if let Some(h) = hot.as_deref_mut() {
-                    h.on_kill(i, &self.replicas[i].state);
-                }
-            } else if !dead && !self.replicas[i].state.alive {
-                let mut view = ArenaSlots {
-                    arena: &mut self.replicas,
-                    slot_of: &self.slot_of,
-                };
-                self.proxy
-                    .recover_slot(&mut view, pe, r, t, self.cfg.sync_delay);
-                if let Some(h) = hot.as_deref_mut() {
-                    h.on_recover(i, &self.replicas[i].state);
-                }
-            }
-        }
     }
 }
 
@@ -1618,121 +1009,46 @@ fn chunk_hosts(host_offsets: &[usize], nchunks: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Parallel phase 1 for one host range: replay the range's source-offer
-/// routes against the per-source arrival buffers, then run GPS
-/// water-filling host by host — the same per-host loop as the sequential
-/// engine, over chunk-local indices.
-#[allow(clippy::too_many_arguments)]
-fn schedule_chunk(
-    chunk: &mut [Replica],
-    util: &mut [TimeSeries],
-    busy: &mut Vec<usize>,
-    src_routes: &[Vec<RouteEntry>],
-    arrival_bufs: &[Vec<f64>],
-    host_offsets: &[usize],
-    capacity: &[f64],
-    (lo, hi, base): (usize, usize, usize),
-    t: f64,
-    dt: f64,
-    sec: usize,
-) {
-    for routes in &src_routes[lo..hi] {
-        for &(si, idx, port) in routes {
-            let arrivals = &arrival_bufs[si as usize];
-            if arrivals.is_empty() {
-                continue;
-            }
-            chunk[idx as usize - base].offer(port as usize, arrivals, t);
-        }
-    }
-    for h in lo..hi {
-        let budget = capacity[h] * dt;
-        let mut remaining = budget;
-        let (h0, h1) = (host_offsets[h] - base, host_offsets[h + 1] - base);
-        busy.clear();
-        busy.extend((h0..h1).filter(|&i| chunk[i].eligible(t) && chunk[i].has_work()));
-        let mut len = busy.len();
-        loop {
-            if len == 0 || remaining <= budget * 1e-12 {
-                break;
-            }
-            let share = remaining / len as f64;
-            let mut progressed = false;
-            for &i in &busy[..len] {
-                let used = chunk[i].process(share);
-                remaining -= used;
-                if used > 0.0 {
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-            let mut w = 0;
-            for r in 0..len {
-                let i = busy[r];
-                if chunk[i].has_work() {
-                    busy[w] = i;
-                    w += 1;
-                }
-            }
-            len = w;
-        }
-        let used = budget - remaining;
-        util[h - lo].samples[sec] += used / budget / (1.0 / dt);
-    }
-}
-
-/// [`schedule_chunk`] over a hot-arena chunk view: the same route replay
-/// and per-host water-filling loop, with the busy scan reduced to a
-/// sentinel compare plus a queued-counter test over flat arrays.
-#[allow(clippy::too_many_arguments)]
-fn schedule_chunk_soa(
+/// GPS water-filling over the consecutive hosts whose arena bounds are
+/// `offsets` (one more entry than `capacity` and `util`), on a view whose
+/// first replica is `offsets[0]`; samples each host's utilization.
+fn fill_hosts(
     view: &mut HotChunk<'_>,
     util: &mut [TimeSeries],
     scratch: &mut WfScratch,
-    src_routes: &[Vec<RouteEntry>],
-    arrival_bufs: &[Vec<f64>],
-    host_offsets: &[usize],
+    offsets: &[usize],
     capacity: &[f64],
-    (lo, hi, base): (usize, usize, usize),
-    t: f64,
-    dt: f64,
-    sec: usize,
+    q: Tick,
 ) {
-    for routes in &src_routes[lo..hi] {
-        for &(si, idx, port) in routes {
-            let arrivals = &arrival_bufs[si as usize];
-            if arrivals.is_empty() {
-                continue;
-            }
-            view.offer(idx as usize - base, port as usize, arrivals, t);
-        }
-    }
-    for h in lo..hi {
-        let budget = capacity[h] * dt;
-        let (h0, h1) = (host_offsets[h] - base, host_offsets[h + 1] - base);
-        let remaining = view.water_fill(h0, h1, t, budget, scratch);
+    let base = offsets[0];
+    for (h, &cap) in capacity.iter().enumerate() {
+        let budget = cap * q.dt;
+        let (lo, hi) = (offsets[h] - base, offsets[h + 1] - base);
+        let remaining = view.water_fill(lo, hi, q.t, budget, scratch);
         let used = budget - remaining;
-        util[h - lo].samples[sec] += used / budget / (1.0 / dt);
+        util[h].samples[q.sec] += used / budget / (1.0 / q.dt);
     }
 }
 
-/// Resident bytes of the legacy array-of-structs replica arena: struct
-/// footprint plus heap held by port tables, port queues, and output
-/// buffers. The comparison figure for [`HotArena::bytes`] in profiled
-/// runs (`PhaseProfile::arena_bytes`).
-fn replica_set_bytes(replicas: &[Replica]) -> u64 {
-    use std::mem::size_of;
-    let mut bytes = std::mem::size_of_val(replicas);
-    for rep in replicas {
-        bytes += rep.ports.capacity() * size_of::<InPort>();
-        for port in &rep.ports {
-            bytes += port.queue.capacity() * size_of::<f64>();
+/// Replay the route tables of a chunk's hosts against the per-origin
+/// buffers: every non-empty buffer is offered at `now` to the destinations
+/// it reaches on those hosts. `base` is the arena index of the chunk's
+/// first replica.
+fn replay(
+    view: &mut HotChunk<'_>,
+    routes: &[Vec<RouteEntry>],
+    bufs: &[Vec<f64>],
+    base: usize,
+    now: f64,
+) {
+    for host_routes in routes {
+        for &(origin, idx, port) in host_routes {
+            let births = &bufs[origin as usize];
+            if !births.is_empty() {
+                view.offer(idx as usize - base, port as usize, births, now);
+            }
         }
-        bytes += rep.out_births.capacity() * size_of::<f64>();
     }
-    bytes as u64
 }
 
 #[cfg(test)]
@@ -2125,8 +1441,8 @@ mod tests {
 
     #[test]
     fn threads_produce_bit_identical_metrics() {
-        // The fig2 pipeline has 2 hosts — the smallest fixture the parallel
-        // engine actually splits. The full-scale sweep lives in
+        // The fig2 pipeline has 2 hosts — the smallest fixture the staged
+        // phases actually split. The full-scale sweep lives in
         // tests/equivalence.rs; this is the fast in-module guard.
         let p = fig2_problem(0.6);
         let run = |threads: usize| {
@@ -2151,63 +1467,20 @@ mod tests {
     }
 
     #[test]
-    fn soa_layout_matches_legacy_bitwise() {
-        // Exercises the hot/cold sync boundary hard: a host crash plus the
-        // LAAR strategy (inactive replicas, activations on failover) under
-        // both time-advance modes and the parallel split. The full-scale
-        // sweep lives in tests/equivalence.rs; this is the fast in-module
-        // guard for the layout axis.
+    fn profiled_run_reports_arena_bytes() {
         let p = fig2_problem(0.6);
-        let run = |layout: ReplicaLayout, threads: usize, advance: TimeAdvance| {
-            Simulation::new(
-                &p.app,
-                &p.placement,
-                fig2_strategy_laar(),
-                &short_trace(),
-                FailurePlan::host_crash(laar_model::HostId(0), 20.0),
-                SimConfig {
-                    layout,
-                    threads,
-                    advance,
-                    ..SimConfig::default()
-                },
-            )
-            .run()
-        };
-        let reference = run(ReplicaLayout::Legacy, 1, TimeAdvance::FixedQuantum);
-        for advance in [TimeAdvance::FixedQuantum, TimeAdvance::EventDriven] {
-            for threads in [1, 2, 3] {
-                let soa = run(ReplicaLayout::Soa, threads, advance);
-                assert_eq!(reference, soa, "soa threads={threads} {advance:?} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn profiled_soa_run_reports_arena_bytes() {
-        let p = fig2_problem(0.6);
-        let build = |layout: ReplicaLayout| {
-            Simulation::new(
-                &p.app,
-                &p.placement,
-                fig2_strategy_laar(),
-                &short_trace(),
-                FailurePlan::None,
-                SimConfig {
-                    layout,
-                    ..SimConfig::default()
-                },
-            )
-        };
-        for layout in [ReplicaLayout::Legacy, ReplicaLayout::Soa] {
-            let (_, profile) = build(layout).run_profiled();
-            assert!(profile.arena_bytes > 0, "{layout:?}");
-            let pes = 2.0;
-            assert!(
-                (profile.bytes_per_pe - profile.arena_bytes as f64 / pes).abs() < 1e-9,
-                "{layout:?}"
-            );
-        }
+        let (_, profile) = Simulation::new(
+            &p.app,
+            &p.placement,
+            fig2_strategy_laar(),
+            &short_trace(),
+            FailurePlan::None,
+            SimConfig::default(),
+        )
+        .run_profiled();
+        assert!(profile.arena_bytes > 0);
+        let pes = 2.0;
+        assert!((profile.bytes_per_pe - profile.arena_bytes as f64 / pes).abs() < 1e-9);
     }
 
     #[test]

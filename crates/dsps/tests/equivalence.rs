@@ -1,28 +1,34 @@
-//! Golden-equivalence suite: the event-driven time-advance engine, the
-//! host-parallel engine (`SimConfig::threads > 1`), and the
-//! struct-of-arrays hot-arena engines (`ReplicaLayout::Soa`, the default)
-//! must produce **bit-identical** [`SimMetrics`] to the legacy
-//! fixed-quantum sequential reference on every workload — same drops,
-//! sink counts, latency histogram, utilization samples, and conservation
-//! ledger. This is the correctness bar that lets the fast paths be
-//! defaults without perturbing the paper figures or the live-runtime
-//! parity suite.
+//! Equivalence suite for the simulator's one run loop. Every fixture is
+//! held to three references at once:
+//!
+//! * **the every-quantum march** ([`Simulation::run_every_quantum`],
+//!   `threads = 1`): the same loop without the horizon jump, so the
+//!   event-driven run and the staged multi-chunk phases
+//!   (`SimConfig::threads > 1`) are compared with an independent execution
+//!   and must produce **bit-identical** [`SimMetrics`] — same drops, sink
+//!   counts, latency histogram, utilization samples, conservation ledger;
+//! * **a golden digest**: a 64-bit FNV-1a over every `SimMetrics` field,
+//!   recorded from the deleted array-of-structs engine (see [`digest`]),
+//!   so whole-run agreement with that engine outlives it;
+//! * a balanced conservation ledger.
 //!
 //! Thread counts {1, 2} are always exercised; set `LAAR_EQ_THREADS=N` to
-//! add another count (CI runs the suite a second time with `N=8` so the
-//! SoA path is pinned at 8 threads).
+//! add another count (CI runs the suite a second time with `N=8`).
 
+use laar_adapt::AdaptConfig;
 use laar_core::testutil::fig2_problem;
 use laar_dsps::trace::ArrivalProcess;
 use laar_dsps::{
-    FailurePlan, InputTrace, ReplicaLayout, SimConfig, SimMetrics, Simulation, TimeAdvance,
+    FailurePlan, InputTrace, LatencyStats, RateSchedule, SimConfig, SimMetrics, Simulation,
+    TimeSeries,
 };
+use laar_exec::Conservation;
 use laar_gen::{generator::generate_app, GenParams};
-use laar_model::{ActivationStrategy, Application, ConfigId, HostId, Placement};
+use laar_model::{ActivationStrategy, Application, ConfigId, Host, HostId, Placement};
 use proptest::prelude::*;
 
-/// Thread counts every fixture is held to: the sequential reference, the
-/// smallest parallel split, and (when `LAAR_EQ_THREADS` is set) whatever
+/// Thread counts every fixture is held to: the single-chunk path, the
+/// smallest staged split, and (when `LAAR_EQ_THREADS` is set) whatever
 /// the CI matrix asks for.
 fn thread_axis() -> Vec<usize> {
     let mut axis = vec![1, 2];
@@ -36,10 +42,125 @@ fn thread_axis() -> Vec<usize> {
     axis
 }
 
-/// Run the same problem under both time-advance engines, both replica
-/// layouts, and across the thread axis, and assert the metrics agree
-/// exactly. The reference is the legacy array-of-structs fixed-quantum
-/// sequential engine — the pre-SoA hot path, kept verbatim.
+/// 64-bit FNV-1a over a stream of 64-bit words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn words(&mut self, v: &[u64]) {
+        self.word(v.len() as u64);
+        v.iter().for_each(|&x| self.word(x));
+    }
+    fn floats(&mut self, v: &[f64]) {
+        self.word(v.len() as u64);
+        v.iter().for_each(|x| self.word(x.to_bits()));
+    }
+}
+
+/// Digest of every [`SimMetrics`] field in declaration order (`f64` by
+/// `to_bits`, vectors length-prefixed and in order). The destructuring
+/// patterns are exhaustive, so a new field fails to compile here until it
+/// is hashed.
+///
+/// The golden constants below were recorded at commit 037e4aa, the last
+/// one carrying the array-of-structs engine, from this file with
+/// `layout: Legacy, advance: FixedQuantum` added next to `threads` in
+/// every `SimConfig` literal (and `run_every_quantum()` spelled `run()`,
+/// which that configuration makes the every-quantum march):
+/// `cargo test -p laar-dsps --release --test equivalence` there reports
+/// `expected`/`got` for each fixture whose constant differs.
+fn digest(m: &SimMetrics) -> u64 {
+    let SimMetrics {
+        duration,
+        source_emitted,
+        host_cpu_seconds,
+        pe_processed,
+        queue_drops,
+        idle_discards,
+        sink_received,
+        input_rate,
+        output_rate,
+        host_utilization,
+        config_switches,
+        commands_applied,
+        failovers,
+        latency,
+        replica_port_processed,
+        replica_emitted,
+        replica_cycles,
+        strategy_swaps,
+        swap_downtime_quanta,
+        swap_downtime_tuples,
+        conservation,
+    } = m;
+    let LatencyStats {
+        bucket_width,
+        buckets,
+        count,
+        sum,
+        max,
+    } = latency;
+    let Conservation {
+        pushed,
+        transport_dropped,
+        ring_residual,
+        queue_drops: ledger_drops,
+        idle_discards: ledger_discards,
+        processed,
+        port_residual,
+    } = conservation;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.word(duration.to_bits());
+    h.words(source_emitted);
+    h.floats(host_cpu_seconds);
+    h.words(pe_processed);
+    h.word(*queue_drops);
+    h.word(*idle_discards);
+    h.words(sink_received);
+    h.floats(&input_rate.samples);
+    h.floats(&output_rate.samples);
+    h.word(host_utilization.len() as u64);
+    for TimeSeries { samples } in host_utilization {
+        h.floats(samples);
+    }
+    h.word(*config_switches);
+    h.word(*commands_applied);
+    h.word(*failovers);
+    h.word(bucket_width.to_bits());
+    h.words(buckets);
+    h.word(*count);
+    h.word(sum.to_bits());
+    h.word(max.to_bits());
+    h.word(replica_port_processed.len() as u64);
+    for ports in replica_port_processed {
+        h.words(ports);
+    }
+    h.words(replica_emitted);
+    h.floats(replica_cycles);
+    h.word(*strategy_swaps);
+    h.word(*swap_downtime_quanta);
+    h.word(*swap_downtime_tuples);
+    for v in [
+        pushed,
+        transport_dropped,
+        ring_residual,
+        ledger_drops,
+        ledger_discards,
+        processed,
+        port_residual,
+    ] {
+        h.word(*v);
+    }
+    h.0
+}
+
+/// Run one problem as the every-quantum march at `threads = 1` (the
+/// reference), check its golden digest, then hold the event-driven run
+/// and the every-quantum march to it across the thread axis.
 fn assert_equivalent(
     app: &Application,
     placement: &Placement,
@@ -47,8 +168,9 @@ fn assert_equivalent(
     trace: &InputTrace,
     plan: &FailurePlan,
     base: &SimConfig,
+    golden: u64,
 ) -> SimMetrics {
-    let run = |layout: ReplicaLayout, advance: TimeAdvance, threads: usize| {
+    let sim = |threads: usize| {
         Simulation::new(
             app,
             placement,
@@ -56,43 +178,37 @@ fn assert_equivalent(
             trace,
             plan.clone(),
             SimConfig {
-                layout,
-                advance,
                 threads,
                 ..base.clone()
             },
         )
-        .run()
     };
-    let reference = run(ReplicaLayout::Legacy, TimeAdvance::FixedQuantum, 1);
-    let event = run(ReplicaLayout::Legacy, TimeAdvance::EventDriven, 1);
+    let reference = sim(1).run_every_quantum();
+    let got = digest(&reference);
     assert_eq!(
-        reference, event,
-        "event-driven metrics diverged from the fixed-quantum reference"
+        got, golden,
+        "golden digest: expected {golden:#018x}, got {got:#018x}"
     );
-    for advance in [TimeAdvance::FixedQuantum, TimeAdvance::EventDriven] {
-        let soa = run(ReplicaLayout::Soa, advance, 1);
+    for threads in thread_axis() {
         assert_eq!(
-            reference, soa,
-            "SoA metrics diverged from the legacy reference ({advance:?})"
+            reference,
+            sim(threads).run(),
+            "event-driven metrics diverged at threads={threads}"
         );
-    }
-    for threads in thread_axis().into_iter().skip(1) {
-        for layout in [ReplicaLayout::Legacy, ReplicaLayout::Soa] {
-            let par_fixed = run(layout, TimeAdvance::FixedQuantum, threads);
+        if threads > 1 {
             assert_eq!(
-                reference, par_fixed,
-                "fixed-quantum metrics diverged at threads={threads} ({layout:?})"
-            );
-            let par_event = run(layout, TimeAdvance::EventDriven, threads);
-            assert_eq!(
-                reference, par_event,
-                "event-driven metrics diverged at threads={threads} ({layout:?})"
+                reference,
+                sim(threads).run_every_quantum(),
+                "every-quantum metrics diverged at threads={threads}"
             );
         }
     }
-    assert!(event.conservation.is_balanced(), "{:?}", event.conservation);
-    event
+    assert!(
+        reference.conservation.is_balanced(),
+        "{:?}",
+        reference.conservation
+    );
+    reference
 }
 
 fn fig2_strategy_laar() -> ActivationStrategy {
@@ -106,65 +222,93 @@ fn fig2_strategy_laar() -> ActivationStrategy {
 fn fig3_pipeline_all_variants_and_plans() {
     let p = fig2_problem(0.6);
     let trace = InputTrace::low_high_centered(4.0, 8.0, 60.0, 1.0 / 3.0);
-    let strategies = [
-        ("sr", ActivationStrategy::all_active(2, 2, 2)),
-        ("laar", fig2_strategy_laar()),
+    let sr = ActivationStrategy::all_active(2, 2, 2);
+    let laar = fig2_strategy_laar();
+    let crash = FailurePlan::host_crash(HostId(0), 20.0);
+    let cases = [
+        (&sr, FailurePlan::None, GOLDEN_FIG3_SR_NONE),
+        (
+            &sr,
+            FailurePlan::worst_case(&p.app, &sr),
+            GOLDEN_FIG3_SR_WORST,
+        ),
+        (&sr, crash.clone(), GOLDEN_FIG3_SR_CRASH),
+        (&laar, FailurePlan::None, GOLDEN_FIG3_LAAR_NONE),
+        (
+            &laar,
+            FailurePlan::worst_case(&p.app, &laar),
+            GOLDEN_FIG3_LAAR_WORST,
+        ),
+        (&laar, crash, GOLDEN_FIG3_LAAR_CRASH),
     ];
-    for (label, strategy) in &strategies {
-        let plans = [
-            FailurePlan::None,
-            FailurePlan::worst_case(&p.app, strategy),
-            FailurePlan::host_crash(HostId(0), 20.0),
-        ];
-        for plan in &plans {
-            let m = assert_equivalent(
-                &p.app,
-                &p.placement,
-                strategy,
-                &trace,
-                plan,
-                &SimConfig::default(),
-            );
-            assert!(
-                m.source_emitted[0] > 0,
-                "{label}/{plan:?}: no tuples emitted"
-            );
-        }
+    for (strategy, plan, golden) in &cases {
+        let m = assert_equivalent(
+            &p.app,
+            &p.placement,
+            strategy,
+            &trace,
+            plan,
+            &SimConfig::default(),
+            *golden,
+        );
+        assert!(m.source_emitted[0] > 0, "{plan:?}: no tuples emitted");
     }
 }
+
+const GOLDEN_FIG3_SR_NONE: u64 = 0xeefc_13c2_82bf_8c4e;
+const GOLDEN_FIG3_SR_WORST: u64 = 0x39ef_0898_9543_4b1b;
+const GOLDEN_FIG3_SR_CRASH: u64 = 0xe626_f594_3793_f870;
+const GOLDEN_FIG3_LAAR_NONE: u64 = 0x32ca_fb80_9f2f_e7ed;
+const GOLDEN_FIG3_LAAR_WORST: u64 = 0x931f_04ed_cdd8_cfc1;
+const GOLDEN_FIG3_LAAR_CRASH: u64 = 0xd0f9_00ee_c2b0_612a;
 
 #[test]
 fn fig3_pipeline_controller_disabled_and_coarse_quantum() {
     let p = fig2_problem(0.6);
     let trace = InputTrace::low_high_centered(4.0, 8.0, 60.0, 1.0 / 3.0);
-    for cfg in [
-        SimConfig {
-            controller_enabled: false,
-            ..SimConfig::default()
-        },
-        SimConfig {
-            quantum: 0.05,
-            ..SimConfig::default()
-        },
-        SimConfig {
-            arrivals: ArrivalProcess::Poisson { seed: 11 },
-            ..SimConfig::default()
-        },
-    ] {
+    let cases = [
+        (
+            SimConfig {
+                controller_enabled: false,
+                ..SimConfig::default()
+            },
+            GOLDEN_FIG3_CONTROLLER_OFF,
+        ),
+        (
+            SimConfig {
+                quantum: 0.05,
+                ..SimConfig::default()
+            },
+            GOLDEN_FIG3_QUANTUM_50MS,
+        ),
+        (
+            SimConfig {
+                arrivals: ArrivalProcess::Poisson { seed: 11 },
+                ..SimConfig::default()
+            },
+            GOLDEN_FIG3_POISSON_11,
+        ),
+    ];
+    for (cfg, golden) in &cases {
         assert_equivalent(
             &p.app,
             &p.placement,
             &fig2_strategy_laar(),
             &trace,
             &FailurePlan::None,
-            &cfg,
+            cfg,
+            *golden,
         );
     }
 }
 
+const GOLDEN_FIG3_CONTROLLER_OFF: u64 = 0xcedb_99ab_04c6_869d;
+const GOLDEN_FIG3_QUANTUM_50MS: u64 = 0x1f7c_ce48_286e_4ff5;
+const GOLDEN_FIG3_POISSON_11: u64 = 0x392c_ee26_a94a_db06;
+
 #[test]
 fn quiescent_heavy_trace_still_matches_exactly() {
-    // The fast path's bread and butter: long stretches with no work at
+    // The horizon jump's bread and butter: long stretches with no work at
     // all. Sparse arrivals (one tuple every 2 s) with the controller
     // polling every second.
     let p = fig2_problem(0.6);
@@ -176,8 +320,82 @@ fn quiescent_heavy_trace_still_matches_exactly() {
         &trace,
         &FailurePlan::None,
         &SimConfig::default(),
+        GOLDEN_QUIESCENT,
     );
 }
+
+const GOLDEN_QUIESCENT: u64 = 0xe40c_20f0_f830_2578;
+
+#[test]
+fn zero_duration_trace_returns_empty_balanced_metrics() {
+    // `samples` is empty, so the per-second bucket bound has nothing to
+    // subtract from; no quantum runs and the ledger balances at zero.
+    let p = fig2_problem(0.6);
+    let trace = InputTrace::constant(&[4.0], 0.0);
+    let sim = |threads: usize| {
+        Simulation::new(
+            &p.app,
+            &p.placement,
+            fig2_strategy_laar(),
+            &trace,
+            FailurePlan::None,
+            SimConfig {
+                threads,
+                ..SimConfig::default()
+            },
+        )
+    };
+    let m = sim(1).run();
+    assert_eq!(m, sim(1).run_every_quantum());
+    assert_eq!(m, sim(2).run());
+    assert_eq!(m.source_emitted, [0]);
+    assert!(m.input_rate.samples.is_empty());
+    assert_eq!(m.conservation.pushed, 0);
+    assert!(m.conservation.is_balanced(), "{:?}", m.conservation);
+}
+
+#[test]
+fn adaptive_hot_swap_matches_exactly() {
+    // The hot-swap path: Fig. 2 on double-capacity hosts running all
+    // replicas, with the source drifting from the declared Low (4 t/s) to
+    // 12 t/s — past the detector's hysteresis band and past what
+    // all-active can carry (2400 > 2000 cycles/s per host). The re-plan
+    // finds a strategy meeting IC 0.6 under the corrected descriptor and
+    // the two-phase swap rides the ordinary command path, so every swap
+    // command crosses the hot/cold sync boundary in `control_plane`.
+    let p = fig2_problem(0.6);
+    let hosts = p
+        .placement
+        .hosts()
+        .iter()
+        .map(|h| Host {
+            capacity: 2000.0,
+            ..h.clone()
+        })
+        .collect();
+    let assignment = (0..4).map(|i| p.placement.host_of(i / 2, i % 2)).collect();
+    let placement = Placement::new(p.app.graph(), 2, hosts, assignment).unwrap();
+    let trace = InputTrace {
+        schedules: vec![RateSchedule::from_segments(vec![(0.0, 4.0), (10.0, 12.0)])],
+        duration: 30.0,
+    };
+    let m = assert_equivalent(
+        &p.app,
+        &placement,
+        &ActivationStrategy::all_active(2, 2, 2),
+        &trace,
+        &FailurePlan::None,
+        &SimConfig {
+            adapt: Some(AdaptConfig::new(0.6)),
+            ..SimConfig::default()
+        },
+        GOLDEN_ADAPTIVE_SWAP,
+    );
+    assert!(m.strategy_swaps >= 1, "no swap happened");
+    assert_eq!(m.swap_downtime_quanta, 0, "two-phase swap leaked");
+}
+
+const GOLDEN_ADAPTIVE_SWAP: u64 = 0x6a4d_1d39_6ab3_5302;
 
 #[test]
 fn paper_scale_24pe_with_failures() {
@@ -192,12 +410,12 @@ fn paper_scale_24pe_with_failures() {
         gen.app.billing_period(),
         gen.p_high(),
     );
-    let plans = [
-        FailurePlan::None,
-        FailurePlan::worst_case(&gen.app, &sr),
-        FailurePlan::host_crash(HostId(0), 140.0),
+    let cases = [
+        (FailurePlan::None, GOLDEN_24PE_NONE),
+        (FailurePlan::worst_case(&gen.app, &sr), GOLDEN_24PE_WORST),
+        (FailurePlan::host_crash(HostId(0), 140.0), GOLDEN_24PE_CRASH),
     ];
-    for plan in &plans {
+    for (plan, golden) in &cases {
         let m = assert_equivalent(
             &gen.app,
             &gen.placement,
@@ -205,16 +423,20 @@ fn paper_scale_24pe_with_failures() {
             &trace,
             plan,
             &SimConfig::default(),
+            *golden,
         );
         assert!(m.total_processed() > 0, "{plan:?}: nothing processed");
     }
 }
 
+const GOLDEN_24PE_NONE: u64 = 0x364d_8b9c_5906_8065;
+const GOLDEN_24PE_WORST: u64 = 0x97ca_644c_4e9e_24d2;
+const GOLDEN_24PE_CRASH: u64 = 0xdd8c_b255_ba2f_6dad;
+
 #[test]
-fn scaled_1k_pe_matches_legacy() {
+fn scaled_1k_pe_host_crash() {
     // The 1k-PE scaled benchmark fixture (the `bench-sim` headline), held
-    // to the same bar as the paper-scale fixtures: SoA and legacy layouts
-    // bit-identical across both time-advance modes and the thread axis
+    // to the same bar as the paper-scale fixtures across the thread axis
     // (LAAR_EQ_THREADS=8 in CI), under a mid-run host crash. The trace is
     // short — at this scale a couple of seconds of saturated input already
     // exercises queue overflow, water-filling compaction, failover, and
@@ -231,9 +453,12 @@ fn scaled_1k_pe_matches_legacy() {
         &trace,
         &FailurePlan::host_crash(HostId(0), 0.8),
         &SimConfig::default(),
+        GOLDEN_1K_PE_CRASH,
     );
     assert!(m.total_processed() > 0, "nothing processed at 1k PEs");
 }
+
+const GOLDEN_1K_PE_CRASH: u64 = 0x93a1_16c2_ecd1_59f7;
 
 /// Deterministic strategy sampler mirroring `tests/proptest_sim.rs`.
 fn random_strategy(np: usize, nq: usize, seed: u64) -> ActivationStrategy {
@@ -261,7 +486,8 @@ proptest! {
 
     /// Random interleavings of arrivals (deterministic and Poisson, bursty
     /// schedules), HAController command traffic (random strategies force
-    /// switches), and failures: the two engines stay in lockstep.
+    /// switches), and failures: the event-driven run, single-chunk and
+    /// staged, stays in lockstep with the every-quantum march.
     #[test]
     fn random_interleavings_are_equivalent(
         seed in any::<u64>(),
@@ -296,25 +522,18 @@ proptest! {
             },
             ..SimConfig::default()
         };
-        let run = |layout: ReplicaLayout, advance: TimeAdvance, threads: usize| {
+        let sim = |threads: usize| {
             Simulation::new(
                 &gen.app,
                 &gen.placement,
                 strategy.clone(),
                 &trace,
                 plan.clone(),
-                SimConfig { layout, advance, threads, ..cfg.clone() },
+                SimConfig { threads, ..cfg.clone() },
             )
-            .run()
         };
-        let reference = run(ReplicaLayout::Legacy, TimeAdvance::FixedQuantum, 1);
-        let event = run(ReplicaLayout::Legacy, TimeAdvance::EventDriven, 1);
-        prop_assert_eq!(&reference, &event);
-        let par = run(ReplicaLayout::Legacy, TimeAdvance::EventDriven, 2);
-        prop_assert_eq!(&reference, &par);
-        let soa = run(ReplicaLayout::Soa, TimeAdvance::FixedQuantum, 1);
-        prop_assert_eq!(&reference, &soa);
-        let soa_event_par = run(ReplicaLayout::Soa, TimeAdvance::EventDriven, 2);
-        prop_assert_eq!(&reference, &soa_event_par);
+        let reference = sim(1).run_every_quantum();
+        prop_assert_eq!(&reference, &sim(1).run());
+        prop_assert_eq!(&reference, &sim(2).run());
     }
 }

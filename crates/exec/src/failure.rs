@@ -110,11 +110,20 @@ impl FailurePlan {
 
     /// Is the given replica dead at time `t` under this plan?
     pub fn is_dead(&self, placement: &Placement, pe_dense: usize, replica: usize, t: f64) -> bool {
+        let host = placement.host_of(pe_dense, replica).index();
+        self.is_dead_on(host, pe_dense, replica, t)
+    }
+
+    /// [`Self::is_dead`] for a caller that already knows the dense index of
+    /// the host the replica runs on (the simulator keeps it per slot and
+    /// asks once per slot per quantum, hence the inline hint).
+    #[inline]
+    pub fn is_dead_on(&self, host_index: usize, pe_dense: usize, replica: usize, t: f64) -> bool {
         match self {
             FailurePlan::None => false,
             FailurePlan::WorstCase { crashed } => crashed[pe_dense] == replica,
             FailurePlan::HostCrash { host, at, duration } => {
-                placement.host_of(pe_dense, replica) == *host && t >= *at && t < *at + *duration
+                host_index == host.index() && t >= *at && t < *at + *duration
             }
         }
     }

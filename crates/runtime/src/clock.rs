@@ -52,18 +52,9 @@ impl ScaledClock {
         self.origin.elapsed().as_secs_f64() * self.scale
     }
 
-    /// Sleep the calling thread for about `trace_secs` of trace time
-    /// (converted to wall time; precision is the OS timer's).
-    pub fn sleep(&self, trace_secs: f64) {
-        let wall = (trace_secs / self.scale).max(0.0);
-        if wall > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(wall));
-        }
-    }
-
     /// Park the calling thread for about `trace_secs` of trace time, or
     /// until someone `unpark`s it — the idle-worker nap. Unlike
-    /// [`ScaledClock::sleep`], a parked thread can be woken early (e.g. at
+    /// a sleeping thread, a parked one can be woken early (e.g. at
     /// shutdown, or by a producer with fresh work), so long naps never
     /// delay a join. Spurious wakeups are allowed, as with
     /// [`std::thread::park_timeout`]; callers re-check their condition.
@@ -77,7 +68,7 @@ impl ScaledClock {
     /// Wait until the clock reads at least `trace_deadline`, adaptively:
     /// sleep while the remaining wall time is long, yield as the deadline
     /// approaches, and spin across the last few microseconds. Unlike
-    /// [`ScaledClock::sleep`], this never overshoots by more than the
+    /// a plain sleep, this never overshoots by more than the
     /// OS scheduling jitter of a yield — at high `time_scale`, where one
     /// tick is a few microseconds of wall time, a plain sleep overshoots
     /// by an order of magnitude and the caller's loop coarsens.

@@ -61,27 +61,6 @@ use std::sync::Arc;
 
 pub use laar_exec::Conservation;
 
-/// Which hot-path implementation the engine runs. Mirrors the simulator's
-/// `TimeAdvance` switch: the reference path is kept callable so benchmarks
-/// can measure the batched data plane against the exact pre-optimization
-/// behavior on the same machine, and parity suites can hold both to the
-/// simulator oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlane {
-    /// Tuple-at-a-time transport (scalar ring push/pop) and an
-    /// unconditional `sleep(tick)` in every worker and coordinator pass —
-    /// the original fixed-tick loop.
-    Reference,
-    /// Batched transport (`push_slice`/`drain_into`, one atomic per batch)
-    /// and adaptive wakeups: busy threads pace to the tick deadline with a
-    /// spin→yield→sleep wait (never oversleeping), idle threads back off
-    /// exponentially, and the coordinator jumps to the next event horizon
-    /// (source arrival, monitor poll, due command, failure transition) the
-    /// way the simulator's event-driven advance does.
-    #[default]
-    Batched,
-}
-
 /// Tunables of the live engine. The control-loop and queue parameters
 /// mirror [`laar_dsps::SimConfig`] so a run can be compared against the
 /// simulator under identical settings; `time_scale` and `tick` are specific
@@ -113,9 +92,6 @@ pub struct RuntimeConfig {
     pub controller_enabled: bool,
     /// Arrival process of the sources.
     pub arrivals: ArrivalProcess,
-    /// Hot-path implementation (batched/adaptive by default; the reference
-    /// fixed-tick loop is kept for benchmarking and as a parity control).
-    pub data_plane: DataPlane,
     /// Online adaptation (`laar-adapt`): drift detection over the rate
     /// monitor, warm-started re-planning, and live strategy hot-swaps.
     /// `None` (the default) freezes the deployed strategy.
@@ -136,7 +112,6 @@ impl Default for RuntimeConfig {
             monitor_buckets: 8,
             controller_enabled: true,
             arrivals: ArrivalProcess::Deterministic,
-            data_plane: DataPlane::default(),
             adapt: None,
         }
     }
@@ -169,8 +144,6 @@ impl RuntimeConfig {
             monitor_buckets: self.monitor_buckets,
             controller_enabled: self.controller_enabled,
             arrivals: self.arrivals,
-            advance: laar_dsps::TimeAdvance::default(),
-            layout: laar_dsps::ReplicaLayout::default(),
             threads: 1,
             adapt: self.adapt.clone(),
         }
@@ -220,8 +193,9 @@ pub struct LiveReport {
     pub transport_edges: Vec<TransportEdge>,
     /// Total scheduling passes across the coordinator and all workers —
     /// the engine's wakeup count, the denominator of idle-CPU cost. A
-    /// fixed-tick run wakes `duration/tick` times per thread regardless of
-    /// load; the adaptive data plane collapses that on quiescent hosts.
+    /// fixed-tick loop would wake `duration/tick` times per thread
+    /// regardless of load; adaptive wakeups collapse that on quiescent
+    /// hosts.
     pub loop_passes: u64,
     /// The adaptation subsystem's accounting (`None` unless
     /// [`RuntimeConfig::adapt`] was set).
@@ -270,8 +244,6 @@ struct Worker {
     /// Command ring from the coordinator (raw HAController commands; the
     /// command → transition mapping lives in [`laar_exec::apply_to_slot`]).
     commands: Consumer<Command>,
-    /// Hot-path selection (see [`DataPlane`]).
-    data_plane: DataPlane,
     /// Longest idle nap (trace seconds): bounded well below
     /// `detection_delay` so a quiet worker's heartbeat never goes stale.
     idle_nap_cap: f64,
@@ -310,7 +282,6 @@ impl Worker {
         let mut route_dropped = vec![0u64; self.num_routes];
         let mut loop_passes = 0u64;
 
-        let batched = self.data_plane == DataPlane::Batched;
         let mut idle_streak = 0u32;
 
         let mut dead = false;
@@ -358,21 +329,14 @@ impl Worker {
 
             // Ingest: drain every inbound ring into its port. Ineligible
             // replicas discard (the proxy answers for a dead process), so
-            // counters line up with the simulator's. The batched plane
-            // moves each ring's visible chunk with one atomic; the
-            // reference plane pops tuple-at-a-time.
+            // counters line up with the simulator's. Each ring's visible
+            // chunk moves with one atomic.
             let mut ingested = 0usize;
             for li in 0..self.replicas.len() {
                 for port in 0..self.inbound[li].len() {
                     batch.clear();
                     for ring in &mut self.inbound[li][port] {
-                        if batched {
-                            ring.drain_into(&mut batch);
-                        } else {
-                            while let Some(b) = ring.pop() {
-                                batch.push(b);
-                            }
-                        }
+                        ring.drain_into(&mut batch);
                     }
                     if !batch.is_empty() {
                         ingested += batch.len();
@@ -424,27 +388,12 @@ impl Worker {
                     forwarded = true;
                     for (oi, ring) in self.out_pe[li].iter_mut().enumerate() {
                         let route = self.out_routes[li][oi];
-                        if batched {
-                            let acc = ring.push_slice(&births) as u64;
-                            let rej = births.len() as u64 - acc;
-                            pushed += acc;
-                            transport_dropped += rej;
-                            route_pushed[route] += acc;
-                            route_dropped[route] += rej;
-                        } else {
-                            for &b in &births {
-                                match ring.push(b) {
-                                    Ok(()) => {
-                                        pushed += 1;
-                                        route_pushed[route] += 1;
-                                    }
-                                    Err(_) => {
-                                        transport_dropped += 1;
-                                        route_dropped[route] += 1;
-                                    }
-                                }
-                            }
-                        }
+                        let acc = ring.push_slice(&births) as u64;
+                        let rej = births.len() as u64 - acc;
+                        pushed += acc;
+                        transport_dropped += rej;
+                        route_pushed[route] += acc;
+                        route_dropped[route] += rej;
                     }
                     for &snk in &self.out_sinks[li] {
                         sink_received[snk] += births.len() as u64;
@@ -474,11 +423,6 @@ impl Worker {
                 break;
             }
             last = now;
-
-            if !batched {
-                clock.sleep(self.tick);
-                continue;
-            }
 
             // Adaptive wakeup: a busy pass paces to the next tick deadline
             // with the no-overshoot wait; consecutive idle passes back off
@@ -877,7 +821,6 @@ impl LiveRuntime {
                 num_routes: rt.routes.len(),
                 out_sinks: std::mem::take(&mut per_host_sinks[h]),
                 commands: cmd_rx,
-                data_plane: rt.cfg.data_plane,
                 idle_nap_cap,
             });
         }
@@ -1053,8 +996,8 @@ impl LiveRuntime {
             // 5. Source emission, paced by the wall clock. Before the
             // control poll: emission records arrivals into the monitor by
             // tuple timestamp, so polling after it reads a series that is
-            // complete through `now` even when a batched pass emits a
-            // multi-second window at once.
+            // complete through `now` even when a pass emits a multi-second
+            // window at once.
             self.emit(now, &mut metrics, &mut pushed, &mut transport_dropped);
 
             // 6. The LAAR control loop: measured rates → HAController.
@@ -1084,28 +1027,22 @@ impl LiveRuntime {
                 }
             }
 
-            match self.cfg.data_plane {
-                DataPlane::Reference => clock.sleep(self.cfg.tick),
-                DataPlane::Batched => {
-                    // Event-horizon wait (the live analogue of the
-                    // simulator's event-driven advance): jump to the next
-                    // arrival/poll/command/failure. While any host is down
-                    // or crashed, the horizon collapses to one tick so
-                    // detection and recovery stay fine. The wait is always
-                    // `wait_until`: it parks for long horizons (idle hosts
-                    // cost ~0 CPU) yet lands within scheduler jitter of the
-                    // target, where a plain sleep would overshoot by the OS
-                    // timer slack — an entire trace-second or more of source
-                    // burst at high `time_scale`.
-                    let fine = host_down.iter().any(|&d| d)
-                        || self
-                            .shared
-                            .host_dead
-                            .iter()
-                            .any(|d| d.load(Ordering::Acquire));
-                    clock.wait_until(self.next_wake(now, fine));
-                }
-            }
+            // Event-horizon wait (the live analogue of the simulator's
+            // horizon jump): jump to the next arrival/poll/command/failure.
+            // While any host is down or crashed, the horizon collapses to
+            // one tick so detection and recovery stay fine. The wait is
+            // always `wait_until`: it parks for long horizons (idle hosts
+            // cost ~0 CPU) yet lands within scheduler jitter of the target,
+            // where a plain sleep would overshoot by the OS timer slack —
+            // an entire trace-second or more of source burst at high
+            // `time_scale`.
+            let fine = host_down.iter().any(|&d| d)
+                || self
+                    .shared
+                    .host_dead
+                    .iter()
+                    .any(|d| d.load(Ordering::Acquire));
+            clock.wait_until(self.next_wake(now, fine));
         }
 
         // Flush emission exactly to the end of the trace, so the emitted
@@ -1240,7 +1177,6 @@ impl LiveRuntime {
         pushed: &mut u64,
         transport_dropped: &mut u64,
     ) {
-        let batched = self.cfg.data_plane == DataPlane::Batched;
         for si in 0..self.emitters.len() {
             let times = self.emitters[si].emit_until(now.min(self.duration));
             if times.is_empty() {
@@ -1257,27 +1193,12 @@ impl LiveRuntime {
             }
             for (oi, ring) in self.src_producers[si].iter_mut().enumerate() {
                 let route = self.src_routes[si][oi];
-                if batched {
-                    let acc = ring.push_slice(&times) as u64;
-                    let rej = times.len() as u64 - acc;
-                    *pushed += acc;
-                    *transport_dropped += rej;
-                    self.routes[route].pushed += acc;
-                    self.routes[route].dropped += rej;
-                } else {
-                    for &b in &times {
-                        match ring.push(b) {
-                            Ok(()) => {
-                                *pushed += 1;
-                                self.routes[route].pushed += 1;
-                            }
-                            Err(_) => {
-                                *transport_dropped += 1;
-                                self.routes[route].dropped += 1;
-                            }
-                        }
-                    }
-                }
+                let acc = ring.push_slice(&times) as u64;
+                let rej = times.len() as u64 - acc;
+                *pushed += acc;
+                *transport_dropped += rej;
+                self.routes[route].pushed += acc;
+                self.routes[route].dropped += rej;
             }
         }
     }

@@ -41,7 +41,7 @@ pub mod spsc;
 
 pub use clock::ScaledClock;
 pub use engine::{
-    Conservation, DataPlane, LiveReport, LiveRuntime, RuntimeConfig, TransportEdge, TransportFrom,
+    Conservation, LiveReport, LiveRuntime, RuntimeConfig, TransportEdge, TransportFrom,
 };
 
 #[cfg(test)]

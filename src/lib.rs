@@ -93,9 +93,7 @@ pub mod prelude {
         greedy, non_replicated, static_replication, Command, CostModel, FailureModel, HaController,
         IcEvaluator, NoFailure, PessimisticFailure, Problem, RateMonitor, VariantKind, Violation,
     };
-    pub use laar_dsps::{
-        FailurePlan, InputTrace, RateSchedule, SimConfig, SimMetrics, Simulation, TimeAdvance,
-    };
+    pub use laar_dsps::{FailurePlan, InputTrace, RateSchedule, SimConfig, SimMetrics, Simulation};
     pub use laar_gen::{runtime_corpus, solver_corpus, GenParams, GeneratedApp};
     pub use laar_model::{
         ActivationStrategy, Application, ApplicationGraph, ComponentId, ConfigId, ConfigSpace,
