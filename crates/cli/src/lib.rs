@@ -153,10 +153,30 @@ pub fn cmd_solve(
             ic_shortfall: None,
             strategy: s.strategy,
         }),
-        Outcome::Infeasible => Err(CliError::Message(format!(
-            "no strategy can guarantee IC {ic_requirement} on this deployment \
-             (try --soft <penalty> to trade the SLA for cost)"
-        ))),
+        Outcome::Infeasible => Err(CliError::Message(match report.stats.root_conflict {
+            // The CPU constraint is hard in the penalty model too, so no
+            // `--soft` hint here; the numbers let the reader redo the two
+            // comparisons that prove the verdict.
+            Some(rc) => {
+                let g = app.graph();
+                let hosts = placement.hosts();
+                format!(
+                    "infeasible: PE {} needs {} cycles/s in configuration {}; \
+                     its hosts {}/{} offer {}/{}",
+                    g.component(g.pes()[rc.pe]).name,
+                    rc.load,
+                    rc.config.index(),
+                    hosts[rc.hosts[0].index()].name,
+                    hosts[rc.hosts[1].index()].name,
+                    rc.capacities[0],
+                    rc.capacities[1],
+                )
+            }
+            None => format!(
+                "no strategy can guarantee IC {ic_requirement} on this deployment \
+                 (try --soft <penalty> to trade the SLA for cost)"
+            ),
+        })),
         Outcome::Timeout => Err(CliError::Message(
             "FT-Search timed out before finding any feasible strategy; raise --time-limit"
                 .to_owned(),
@@ -1230,6 +1250,31 @@ mod tests {
         let (app, placement, _) = artifacts();
         let err = cmd_solve(&app, &placement, 0.999, Duration::from_secs(5), None).unwrap_err();
         assert!(err.to_string().contains("--soft"), "{err}");
+    }
+
+    #[test]
+    fn solve_names_the_root_conflict() {
+        // Hosts too small for any single replica: the verdict comes from the
+        // root presolve and carries the numbers that prove it.
+        let (app, placement, _) = artifacts();
+        let np = app.graph().num_pes();
+        let hosts = placement
+            .hosts()
+            .iter()
+            .map(|h| laar_model::Host {
+                capacity: 1e-3,
+                ..h.clone()
+            })
+            .collect();
+        let assignment = (0..2 * np)
+            .map(|i| placement.host_of(i / 2, i % 2))
+            .collect();
+        let tiny = Placement::new(app.graph(), 2, hosts, assignment).unwrap();
+        let err = cmd_solve(&app, &tiny, 0.0, Duration::from_secs(5), None).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.starts_with("infeasible: PE "), "{msg}");
+        assert!(msg.contains("cycles/s in configuration"), "{msg}");
+        assert!(msg.ends_with("offer 0.001/0.001"), "{msg}");
     }
 
     #[test]

@@ -552,6 +552,7 @@ pub(crate) fn solve_cp(
             eng.set_nogoods(&mut ng, true);
             eng.set_activity(&mut act);
             eng.set_tie_keeping(false);
+            eng.set_proof_bounds(false);
             eng.set_node_budget(budget);
             match &guide_buf {
                 Some(g) => {
@@ -605,6 +606,7 @@ pub(crate) fn solve_cp(
                 eng.set_nogoods(&mut ng, true);
                 eng.set_activity(&mut act);
                 eng.set_tie_keeping(false);
+                eng.set_proof_bounds(false);
                 eng.set_node_budget(budget);
                 eng.set_value_policy(ValuePolicy::Guided);
                 eng.set_guide(&b.assign);

@@ -32,7 +32,7 @@
 
 use super::prep::Prep;
 use super::search::Val;
-use super::{raw_to_solution_parts, FtSearchConfig, Outcome, SearchReport};
+use super::{raw_to_solution_parts, FtSearchConfig, Outcome, SearchReport, SearchStats};
 use crate::error::CoreError;
 use crate::problem::Problem;
 use std::time::{Duration, Instant};
@@ -254,13 +254,11 @@ impl<'a> ConfigSearch<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Frontier, ()> {
+    /// The configuration's frontier (`None` on timeout) and the nodes the
+    /// enumeration visited.
+    fn run(mut self) -> (Option<Frontier>, u64) {
         self.search(0);
-        if self.timed_out {
-            Err(())
-        } else {
-            Ok(self.frontier)
-        }
+        ((!self.timed_out).then_some(self.frontier), self.nodes)
     }
 
     fn search(&mut self, pe: usize) {
@@ -387,8 +385,9 @@ impl<'a> ConfigSearch<'a> {
 /// Solve the problem exactly by per-configuration decomposition.
 ///
 /// Returns the same [`SearchReport`] shape as [`super::solve`]; the
-/// `stats` only carry node counts and timings (the four pruning counters
-/// stay zero — they belong to the monolithic FT-Search).
+/// `stats` only carry node counts (summed over the per-configuration
+/// enumerations), timings and the root conflict (the pruning counters stay
+/// zero — they belong to the monolithic FT-Search).
 pub fn solve_decomposed(
     problem: &Problem,
     time_limit: Duration,
@@ -398,8 +397,23 @@ pub fn solve_decomposed(
     }
     let prep = Prep::build(problem);
     let start = Instant::now();
+    if let Some(report) = super::root_verdict(&prep, start) {
+        // A configuration that cannot host one PE has an empty frontier;
+        // say so before enumerating the others.
+        return Ok(report);
+    }
     let deadline = start + time_limit;
     let nq = prep.num_configs;
+    let mut nodes = 0u64;
+    let report = |outcome: Outcome, nodes: u64| SearchReport {
+        stats: SearchStats {
+            nodes,
+            proved: !matches!(outcome, Outcome::Timeout),
+            elapsed: start.elapsed(),
+            ..SearchStats::default()
+        },
+        outcome,
+    };
 
     // Max FIC contribution of each configuration (all vars fully counted).
     let mut max_fic = vec![0.0f64; nq];
@@ -414,20 +428,12 @@ pub fn solve_decomposed(
     #[allow(clippy::needless_range_loop)] // c indexes two parallel tables
     for c in 0..nq {
         let floor = prep.goal_fic - (total_max - max_fic[c]);
-        let search = ConfigSearch::new(&prep, c, floor - 1e-9, deadline);
-        match search.run() {
-            Ok(f) => frontiers.push(f),
-            Err(()) => {
-                return Ok(SearchReport {
-                    outcome: Outcome::Timeout,
-                    stats: super::SearchStats {
-                        proved: false,
-                        elapsed: start.elapsed(),
-                        ..Default::default()
-                    },
-                });
-            }
-        }
+        let (frontier, visited) = ConfigSearch::new(&prep, c, floor - 1e-9, deadline).run();
+        nodes += visited;
+        let Some(f) = frontier else {
+            return Ok(report(Outcome::Timeout, nodes));
+        };
+        frontiers.push(f);
     }
 
     // Combine: running Pareto set over (fic, cost) with per-config choices.
@@ -445,14 +451,7 @@ pub fn solve_decomposed(
     for (c, frontier) in frontiers.iter().enumerate() {
         if frontier.points.is_empty() {
             // No CPU-feasible assignment in some configuration at all.
-            return Ok(SearchReport {
-                outcome: Outcome::Infeasible,
-                stats: super::SearchStats {
-                    proved: true,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                },
-            });
+            return Ok(report(Outcome::Infeasible, nodes));
         }
         let remaining_max: f64 = max_fic[c + 1..].iter().sum();
         let mut next: Vec<Combo> = Vec::with_capacity(combos.len() * frontier.points.len());
@@ -511,14 +510,7 @@ pub fn solve_decomposed(
             Outcome::Optimal(raw_to_solution_parts(problem, &prep, &full))
         }
     };
-    Ok(SearchReport {
-        outcome,
-        stats: super::SearchStats {
-            proved: true,
-            elapsed: start.elapsed(),
-            ..Default::default()
-        },
-    })
+    Ok(report(outcome, nodes))
 }
 
 /// A soft-constraint solution: the strategy minimizing
@@ -555,6 +547,11 @@ pub fn solve_soft(
     }
     assert!(penalty_rate >= 0.0 && penalty_rate.is_finite());
     let prep = Prep::build(problem);
+    if prep.root_conflict.is_some() {
+        // The CPU constraint stays hard: no soft solution either, and no
+        // point enumerating the configurations that do fit.
+        return Ok(None);
+    }
     let start = Instant::now();
     let deadline = start + time_limit;
     let nq = prep.num_configs;
@@ -562,11 +559,10 @@ pub fn solve_soft(
     // Full frontiers (no goal clipping: every fic level may win).
     let mut frontiers = Vec::with_capacity(nq);
     for c in 0..nq {
-        let search = ConfigSearch::new(&prep, c, f64::NEG_INFINITY, deadline);
-        match search.run() {
-            Ok(f) => frontiers.push(f),
-            Err(()) => return Ok(None), // timed out
-        }
+        let (Some(f), _) = ConfigSearch::new(&prep, c, f64::NEG_INFINITY, deadline).run() else {
+            return Ok(None); // timed out
+        };
+        frontiers.push(f);
     }
     if frontiers.iter().any(|f| f.points.is_empty()) {
         // Some configuration cannot fit on the cluster at all: the CPU
@@ -720,6 +716,10 @@ mod tests {
     fn decomposed_solution_is_feasible() {
         let p = diamond_problem(0.6);
         let r = solve_decomposed(&p, Duration::from_secs(10)).unwrap();
+        assert!(
+            r.stats.nodes > 0,
+            "per-configuration node counts are summed"
+        );
         if let Some(sol) = r.outcome.solution() {
             assert!(p.is_feasible(&sol.strategy), "{:?}", p.check(&sol.strategy));
             assert!(sol.ic >= 0.6 - 1e-9);

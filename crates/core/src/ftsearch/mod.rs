@@ -46,7 +46,7 @@ mod search;
 pub mod stats;
 
 pub use decompose::{solve_best_effort, solve_decomposed, solve_soft, SoftSolution};
-pub use stats::{PruneKind, SearchStats, NUM_PRUNE_KINDS};
+pub use stats::{PruneKind, RootConflict, SearchStats, NUM_PRUNE_KINDS};
 
 use crate::error::CoreError;
 use crate::ic::PessimisticFailure;
@@ -458,6 +458,22 @@ fn classify(problem: &Problem, prep: &Prep, best: Option<RawSolution>, timed_out
     }
 }
 
+/// The verdict of the root presolve: `NUL` with zero nodes and the conflict
+/// that proves it, when `Prep::build` found a PE whose single replica fits
+/// on neither of its hosts in some configuration.
+fn root_verdict(prep: &Prep, start: Instant) -> Option<SearchReport> {
+    let conflict = prep.root_conflict?;
+    Some(SearchReport {
+        outcome: Outcome::Infeasible,
+        stats: SearchStats {
+            proved: true,
+            elapsed: start.elapsed(),
+            root_conflict: Some(conflict),
+            ..SearchStats::default()
+        },
+    })
+}
+
 /// Convert a complete strategy into a raw incumbent, provided it is
 /// feasible for this problem (eq. 12 shape, CPU fit, IC goal).
 fn strategy_to_raw(prep: &Prep, strategy: &ActivationStrategy) -> Option<RawSolution> {
@@ -557,6 +573,11 @@ pub fn solve_with_warm_start(
     let prep = Prep::build(problem);
     let start = Instant::now();
     let deadline = start + opts.time_limit;
+    if opts.prune_cpu {
+        if let Some(report) = root_verdict(&prep, start) {
+            return Ok(report);
+        }
+    }
     if opts.mode == SearchMode::Portfolio && prep.num_vars > 0 {
         let warm = best_seed(&prep, opts, warm_start);
         let params = cp::CpWorkerParams {
@@ -620,6 +641,11 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
         return Err(CoreError::UnsupportedReplication { k: problem.k() });
     }
     let prep = Prep::build(problem);
+    if opts.prune_cpu {
+        if let Some(report) = root_verdict(&prep, Instant::now()) {
+            return Ok(report);
+        }
+    }
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -951,8 +977,14 @@ mod tests {
 
     #[test]
     fn timeout_yields_tmo_or_sol() {
+        // A node budget, not a wall-clock one: the deadline is only polled
+        // every 8 192 nodes, so a tiny time limit would test how many nodes
+        // the proof needs rather than what a timeout returns.
         let p = chain_problem(24, 4, 0.5);
-        let opts = FtSearchConfig::with_time_limit(Duration::from_micros(1));
+        let opts = FtSearchConfig {
+            node_limit: Some(1),
+            ..FtSearchConfig::default()
+        };
         let report = solve(&p, &opts).unwrap();
         assert!(
             matches!(report.outcome, Outcome::Timeout | Outcome::Feasible(_)),

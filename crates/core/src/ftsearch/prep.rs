@@ -10,8 +10,9 @@
 //! configuration. Topological order inside a configuration is what makes the
 //! incremental `Δ̂`/FIC bookkeeping and DOM propagation possible (§4.5).
 
+use super::stats::RootConflict;
 use crate::problem::Problem;
-use laar_model::{ComponentKind, ConfigId};
+use laar_model::{ComponentKind, ConfigId, HostId};
 
 /// One input of a PE, pre-resolved to dense indices.
 #[derive(Debug, Clone, Copy)]
@@ -31,6 +32,23 @@ pub(crate) struct Var {
     pub cfg: ConfigId,
     /// Dense PE index.
     pub pe: u32,
+}
+
+/// One candidate of the IC-deficit cover bound: an open variable that can
+/// still be turned into `Both`, with everything the per-node fill reads
+/// packed next to each other.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CoverItem {
+    /// The variable.
+    pub var: u32,
+    /// `pe * num_configs + cfg` — its slot in the engine's `rcv_ub`.
+    pub slot: u32,
+    /// `P_C(c)` of its configuration.
+    pub prob: f64,
+    /// `w_ic[var]`, the static cap on the FIC-rate `Both` can buy here.
+    pub w_ic: f64,
+    /// `w_cost[var] / w_ic[var]`: extra cost-rate per unit of FIC-rate.
+    pub density: f64,
 }
 
 /// Immutable tables shared by all (sequential or parallel) search workers.
@@ -80,6 +98,14 @@ pub(crate) struct Prep {
     /// credit the cluster can physically host in that configuration,
     /// independent of chain structure.
     pub kub: Vec<f64>,
+    /// Variables with `w_ic > 0` in ascending `w_cost / w_ic` order (ties by
+    /// variable index): the fill order of the IC-deficit cover bound.
+    pub cover: Vec<CoverItem>,
+    /// Root presolve: the first `(PE, config)` (in variable order) whose
+    /// single-replica load alone reaches the capacity of both its hosts.
+    /// No CPU-feasible strategy exists then (eq. 12 needs one replica
+    /// active, eq. 11 rejects `load >= K`).
+    pub root_conflict: Option<RootConflict>,
     /// `Σ_v w_ic[v]` — BIC divided by `T` (rate units).
     pub bic_rate: f64,
     /// `ic_requirement · bic_rate`: the absolute FIC-rate goal.
@@ -217,7 +243,9 @@ impl Prep {
 
         let mut kub = vec![0.0; nq];
         for c in 0..nq {
-            let mut per_host: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nh];
+            // (density, value, load) per replica host.
+            let item = |w: f64, l: f64| (w / l, w, l);
+            let mut per_host: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); nh];
             let mut max_c = 0.0;
             let mut free = 0.0;
             for pe in 0..np {
@@ -230,22 +258,21 @@ impl Prep {
                 if l <= 0.0 {
                     free += w;
                 } else if h0 == h1 {
-                    per_host[h0].push((w, 2.0 * l));
+                    per_host[h0].push(item(w, 2.0 * l));
                 } else {
-                    per_host[h0].push((w / 2.0, l));
-                    per_host[h1].push((w / 2.0, l));
+                    per_host[h0].push(item(w / 2.0, l));
+                    per_host[h1].push(item(w / 2.0, l));
                 }
             }
             let mut total = free;
             for (h, items) in per_host.iter_mut().enumerate() {
-                // Density (value/load) descending, compared cross-multiplied.
-                items.sort_by(|a, b| {
-                    (b.0 * a.1)
-                        .partial_cmp(&(a.0 * b.1))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
+                // Density descending on the precomputed key: a total order
+                // (a cross-multiplied comparison is not one under rounding,
+                // and a greedy fill out of order under-estimates the bound).
+                // The sort is stable, so equal densities keep PE order.
+                items.sort_by(|a, b| b.0.total_cmp(&a.0));
                 let mut left = cap[h];
-                for &(w, l) in items.iter() {
+                for &(_, w, l) in items.iter() {
                     if l <= left {
                         total += w;
                         left -= l;
@@ -257,6 +284,35 @@ impl Prep {
             }
             kub[c] = total.min(max_c);
         }
+
+        let mut cover: Vec<CoverItem> = vars
+            .iter()
+            .enumerate()
+            .filter(|&(v, _)| w_ic[v] > 0.0)
+            .map(|(v, var)| CoverItem {
+                var: v as u32,
+                slot: (var.pe as usize * nq + var.cfg.index()) as u32,
+                prob: prob[var.cfg.index()],
+                w_ic: w_ic[v],
+                density: w_cost[v] / w_ic[v],
+            })
+            .collect();
+        // Stable, so equal densities keep variable order.
+        cover.sort_by(|a, b| a.density.total_cmp(&b.density));
+
+        let root_conflict = vars.iter().find_map(|var| {
+            let pe = var.pe as usize;
+            let load = replica_load[pe * nq + var.cfg.index()];
+            let [h0, h1] = host_of[pe];
+            let capacities = [cap[h0 as usize], cap[h1 as usize]];
+            (load >= capacities[0] && load >= capacities[1]).then_some(RootConflict {
+                pe,
+                config: var.cfg,
+                load,
+                hosts: [HostId(h0), HostId(h1)],
+                capacities,
+            })
+        });
 
         let bic_rate: f64 = w_ic.iter().sum();
         let total_w_cost: f64 = w_cost.iter().sum();
@@ -281,6 +337,8 @@ impl Prep {
             source_rate,
             prob,
             kub,
+            cover,
+            root_conflict,
             bic_rate,
             goal_fic: problem.ic_requirement * bic_rate,
             total_w_cost,
@@ -291,7 +349,7 @@ impl Prep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::fig2_problem;
+    use crate::testutil::{chain_problem, fig2_problem};
 
     #[test]
     fn variables_cover_product_config_major() {
@@ -331,6 +389,24 @@ mod tests {
         assert!(prep.pe_succ[1].is_empty());
         assert!(prep.pe_pred[0].is_empty());
         assert_eq!(prep.pe_pred[1], vec![0]);
+    }
+
+    #[test]
+    fn cover_order_is_total_and_ascending() {
+        // Densities one rounding apart: the instance on which a
+        // cross-multiplied comparator made `sort_by` panic.
+        let prep = Prep::build(&chain_problem(24, 4, 0.5));
+        assert_eq!(prep.cover.len(), prep.num_vars);
+        assert!(prep
+            .cover
+            .windows(2)
+            .all(|w| (w[0].density, w[0].var) < (w[1].density, w[1].var)));
+        for it in &prep.cover {
+            let v = it.var as usize;
+            assert_eq!(it.density, prep.w_cost[v] / prep.w_ic[v]);
+            assert_eq!(prep.var_index[it.slot as usize], v);
+        }
+        assert!(prep.root_conflict.is_none());
     }
 
     #[test]

@@ -124,6 +124,8 @@ pub(crate) struct Engine<'a> {
     dhat_ub_saved: Vec<f64>,
     /// Scratch stack for `propagate_dhat_ub` (avoids per-call allocation).
     prop_stack: Vec<(u32, f64)>,
+    /// Scratch stack for `dom_walk`, same reason.
+    dom_stack: Vec<u32>,
     /// DOM: `Both` removed from this variable's domain.
     both_removed: Vec<bool>,
     trail: Vec<DomUndo>,
@@ -131,6 +133,12 @@ pub(crate) struct Engine<'a> {
     best: Option<RawSolution>,
     pub(crate) stats: SearchStats,
     timed_out: bool,
+    /// The IC-deficit cover bound (under `prune_cost`) and CPU forward
+    /// checking (under `prune_cpu`). Both are exact and both cost time at
+    /// every node, which a proof earns back in nodes it never visits and a
+    /// run metered by a fixed node budget does not — the CP driver turns
+    /// them off.
+    proof_bounds: bool,
 
     // --- CP extensions (all default-off: the legacy DFS path is unchanged) ---
     /// Exploration order (position -> variable); `None` = identity. Any
@@ -237,11 +245,13 @@ impl<'a> Engine<'a> {
             dhat_ub,
             dhat_ub_saved: vec![0.0; nv],
             prop_stack: Vec::new(),
+            dom_stack: Vec::new(),
             both_removed: vec![false; nv],
             trail: Vec::with_capacity(nv),
             best: None,
             stats: SearchStats::default(),
             timed_out: false,
+            proof_bounds: true,
             order: None,
             fixed: None,
             guide: None,
@@ -297,6 +307,11 @@ impl<'a> Engine<'a> {
         self.tie_keeping = tie_keeping;
     }
 
+    /// Switch the cover bound and CPU forward checking (see the field).
+    pub(crate) fn set_proof_bounds(&mut self, on: bool) {
+        self.proof_bounds = on;
+    }
+
     pub(crate) fn set_stop_on_solution(&mut self, stop: bool) {
         self.stop_on_solution = stop;
     }
@@ -329,8 +344,8 @@ impl<'a> Engine<'a> {
                 self.unassign(v, val);
                 return false;
             }
-            if self.opts.prune_cpu {
-                self.propagate_cap(v);
+            if self.opts.prune_cpu && !self.propagate_cap(v) {
+                return false;
             }
             if val != Val::Both && self.opts.prune_dom {
                 self.propagate_dom(v);
@@ -456,15 +471,19 @@ impl<'a> Engine<'a> {
             // matter how fast another worker tightened the incumbent, which
             // is what makes the parallel result schedule-independent. COST
             // cuts are incumbent-dependent and must never become nogoods.
+            // The cover term is only computed where the plain bound fails.
             if self.opts.prune_cost {
                 if let Some(best) = self.incumbent_cost() {
-                    let lb = self.cost + self.cost_lb_rem;
-                    let prune = if self.tie_keeping {
-                        lb > best * (1.0 + BOUND_EPS)
-                    } else {
-                        lb >= best * (1.0 - BOUND_EPS)
+                    let tie_keeping = self.tie_keeping;
+                    let cut = |lb: f64| {
+                        if tie_keeping {
+                            lb > best * (1.0 + BOUND_EPS)
+                        } else {
+                            lb >= best * (1.0 - BOUND_EPS)
+                        }
                     };
-                    if prune {
+                    let lb = self.cost + self.cost_lb_rem;
+                    if cut(lb) || (self.proof_bounds && cut(lb + self.deficit_cover())) {
                         self.stats.record_prune(PruneKind::Cost, height);
                         self.ng_undo(ng_mark);
                         self.unassign(v, val);
@@ -474,8 +493,13 @@ impl<'a> Engine<'a> {
             }
 
             let mark = self.trail.len();
-            if self.opts.prune_cpu {
-                self.propagate_cap(v);
+            if self.opts.prune_cpu && !self.propagate_cap(v) {
+                // Forward checking: some open variable has no value left.
+                self.stats.record_prune(PruneKind::Cpu, height);
+                self.undo_dom(mark);
+                self.ng_undo(ng_mark);
+                self.unassign(v, val);
+                continue;
             }
             if !val.is_both() && self.opts.prune_dom {
                 self.propagate_dom(v);
@@ -858,7 +882,9 @@ impl<'a> Engine<'a> {
     /// The DOM walk proper, from the successors of `pe` in configuration `c`.
     fn dom_walk(&mut self, pe: usize, c: usize) {
         let nq = self.prep.num_configs;
-        let mut stack: Vec<u32> = self.prep.pe_succ[pe].clone();
+        let mut stack = std::mem::take(&mut self.dom_stack);
+        stack.clear();
+        stack.extend_from_slice(&self.prep.pe_succ[pe]);
         while let Some(succ) = stack.pop() {
             let u = self.prep.var_index[succ as usize * nq + c];
             if self.assign[u] != 0 || self.both_removed[u] {
@@ -884,11 +910,10 @@ impl<'a> Engine<'a> {
             }
             if all_dead {
                 self.remove_both(succ as usize, c, u);
-                for &s2 in &self.prep.pe_succ[succ as usize] {
-                    stack.push(s2);
-                }
+                stack.extend_from_slice(&self.prep.pe_succ[succ as usize]);
             }
         }
+        self.dom_stack = stack;
     }
 
     /// Remove `Both` from the open variable `u = (pe, c)`: freeze its Δ̂
@@ -915,13 +940,17 @@ impl<'a> Engine<'a> {
             .record_prune(PruneKind::Dom, (self.prep.num_vars - u) as u64);
     }
 
-    /// Capacity-based `Both` removal (CAP): host loads only grow down a
-    /// branch, so once both replicas of an open variable no longer fit on
-    /// their hosts in this configuration, `Both` is gone for the whole
-    /// subtree. Scans only the PEs sharing a host with the variable just
-    /// assigned (the two slots whose load changed), then lets the DOM walk
-    /// pick up any chains the removals killed.
-    fn propagate_cap(&mut self, v: usize) {
+    /// Capacity propagation after `v`'s loads landed. Host loads only grow
+    /// down a branch, so what no longer fits now never fits in this subtree.
+    /// Scans only the open PEs sharing a host with `v` (the two slots whose
+    /// load changed):
+    ///
+    /// - CAP: once both replicas of an open variable no longer fit together,
+    ///   `Both` is removed and the DOM walk picks up any chains that kills;
+    /// - forward checking (`proof_bounds`): once *neither* single fits, the
+    ///   variable has no value left and the node fails — returns `false`
+    ///   with the removals made so far on the trail for the caller to undo.
+    fn propagate_cap(&mut self, v: usize) -> bool {
         let prep = self.prep;
         let var = prep.vars[v];
         let pe = var.pe as usize;
@@ -935,17 +964,24 @@ impl<'a> Engine<'a> {
             for &u_pe in &prep.host_pes[h] {
                 let u_pe = u_pe as usize;
                 let u = prep.var_index[u_pe * nq + c];
-                if self.assign[u] != 0 || self.both_removed[u] {
+                if self.assign[u] != 0 || (self.both_removed[u] && !self.proof_bounds) {
                     continue;
                 }
                 let load = prep.replica_load[u_pe * nq + c];
                 let h0 = prep.host_of[u_pe][0] as usize;
                 let h1 = prep.host_of[u_pe][1] as usize;
+                let over0 = self.host_load[h0 * nq + c] + load >= prep.cap[h0];
+                let over1 = self.host_load[h1 * nq + c] + load >= prep.cap[h1];
+                if over0 && over1 && self.proof_bounds {
+                    return false;
+                }
+                if self.both_removed[u] {
+                    continue;
+                }
                 let infeasible = if h0 == h1 {
                     self.host_load[h0 * nq + c] + 2.0 * load >= prep.cap[h0]
                 } else {
-                    self.host_load[h0 * nq + c] + load >= prep.cap[h0]
-                        || self.host_load[h1 * nq + c] + load >= prep.cap[h1]
+                    over0 || over1
                 };
                 if infeasible {
                     self.remove_both(u_pe, c, u);
@@ -955,6 +991,38 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        true
+    }
+
+    /// IC-deficit cover bound: a lower bound on what closing the IC deficit
+    /// costs on top of `cost + cost_lb_rem` (which charges every open
+    /// variable one replica). The FIC of the assigned variables is final, so
+    /// a feasible completion must buy `goal − fic` from open variables it
+    /// turns into `Both`; variable `u` then adds `w_cost[u]` and contributes
+    /// at most `g_u = min(P_C(c)·rcv_ub[pe, c], w_ic[u])`, i.e. it sells
+    /// FIC at `w_cost[u]/g_u ≥ w_cost[u]/w_ic[u]` per unit. Letting every
+    /// candidate sell any fraction of `g_u` at the cheaper static price and
+    /// buying cheapest-first (the order `Prep` sorted once) can only cost
+    /// less than any real completion. Runs out of sellers only where COMPL
+    /// fires; the partial sum is still a lower bound.
+    fn deficit_cover(&self) -> f64 {
+        let mut need = self.goal_lo() - self.fic;
+        let mut extra = 0.0;
+        for it in &self.prep.cover {
+            if need <= 0.0 {
+                break;
+            }
+            let u = it.var as usize;
+            if self.assign[u] != 0 || self.both_removed[u] {
+                continue;
+            }
+            let gain = (it.prob * self.rcv_ub[it.slot as usize]).min(it.w_ic);
+            if gain > 0.0 {
+                extra += gain.min(need) * it.density;
+                need -= gain;
+            }
+        }
+        extra
     }
 
     fn undo_dom(&mut self, mark: usize) {

@@ -1,5 +1,6 @@
 //! Search statistics collected by FT-Search (feeds Figs. 4–6 of the paper).
 
+use laar_model::{ConfigId, HostId};
 use std::time::Duration;
 
 /// Number of pruning counters tracked ([`PruneKind::ALL`] length).
@@ -70,6 +71,24 @@ pub struct IncumbentPoint {
     pub cost_rate: f64,
 }
 
+/// Why an instance is infeasible before any search: one replica of `pe`
+/// alone does not fit on either of its hosts in `config`, and eq. 12 forces
+/// at least one replica active there. Recomputable from the descriptor with
+/// one comparison per host (`load >= capacities[i]`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RootConflict {
+    /// Dense PE index.
+    pub pe: usize,
+    /// The input configuration in which no replica fits.
+    pub config: ConfigId,
+    /// CPU load (cycles/s) of one active replica of `pe` in `config`.
+    pub load: f64,
+    /// Hosts of replica 0 and replica 1.
+    pub hosts: [HostId; 2],
+    /// Their capacities `K`.
+    pub capacities: [f64; 2],
+}
+
 /// Counters and timings collected during one FT-Search run.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
@@ -112,6 +131,9 @@ pub struct SearchStats {
     /// Incumbent installations in chronological order (capped; see
     /// [`SearchStats::push_incumbent`]).
     pub trajectory: Vec<IncumbentPoint>,
+    /// Set when the root presolve proved the instance infeasible without
+    /// searching (`nodes == 0`, `proved`).
+    pub root_conflict: Option<RootConflict>,
 }
 
 /// Cap on `trajectory` length; improvements past this are still counted in
