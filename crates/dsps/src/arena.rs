@@ -1,4 +1,10 @@
-//! Struct-of-arrays hot state for the simulator's per-quantum data plane.
+//! Struct-of-arrays hot state: the data-plane kernel of both engines.
+//!
+//! The simulator runs one [`HotArena`] over every replica of the
+//! deployment, a quantum at a time; each host worker of `laar-runtime`
+//! runs one over its host's replicas, a wall-clock pass at a time. Offers,
+//! GPS water-filling, the sync boundary and the final accounting
+//! ([`HotArena::tally_replica`]) are the same code under both drivers.
 //!
 //! The per-quantum hot path (GPS water-filling and forwarding) touches a
 //! handful of fields per replica — eligibility, queue depth, the
@@ -18,7 +24,9 @@
 //! injection, recovery). Between control events the hot arena evolves
 //! alone; the cold replicas never receive offers, so their data-plane
 //! fields stay at their initial values and the hot arena owns every queue,
-//! counter, and accumulator.
+//! counter, and accumulator. A live worker keeps only a [`SlotState`] per
+//! replica as its cold side and calls the same four methods: after a
+//! command from its ring, and when its host's crash flag flips.
 //!
 //! Eligibility is a single f64 sentinel per replica
 //! ([`SlotState::eligible_from`]): `+INF` while dead or idle, the
@@ -34,8 +42,10 @@
 //! `tests/equivalence.rs` pin whole runs to the `Replica`-based engine
 //! this arena replaced.
 
+use crate::metrics::SimMetrics;
 use laar_exec::proxy::SlotState;
 use laar_exec::replica::Replica;
+use laar_exec::Conservation;
 
 /// A growable power-of-two ring buffer of `f64` birth timestamps — the
 /// struct-of-arrays replacement for `VecDeque<f64>` port queues, with
@@ -324,6 +334,37 @@ impl HotArena {
             self.head_progress[p] = 0.0;
         }
         self.queued[i] = 0;
+    }
+
+    /// Final accounting of replica `i`, resident on `host` (capacity
+    /// `capacity` cycles/s): fold its terminal counters into the
+    /// conservation ledger — overflow drops, discards, processed tuples and
+    /// what is still queued; the caller supplies `pushed` and any
+    /// transport terms — and into the per-host and per-replica exports of
+    /// `metrics`. Both engines end a run by calling this once per replica
+    /// in dense `pe * k + r` order, which fixes the order of the exported
+    /// vectors and of each host's f64 accumulation.
+    pub fn tally_replica(
+        &self,
+        i: usize,
+        host: usize,
+        capacity: f64,
+        ledger: &mut Conservation,
+        metrics: &mut SimMetrics,
+    ) {
+        let (p0, p1) = self.port_range(i);
+        for p in p0..p1 {
+            ledger.queue_drops += self.drops[p];
+            ledger.port_residual += self.queues[p].len() as u64;
+        }
+        ledger.idle_discards += self.idle_discards[i];
+        ledger.processed += self.processed[i];
+        metrics.host_cpu_seconds[host] += self.cycles_used[i] / capacity;
+        metrics
+            .replica_port_processed
+            .push(self.port_processed[p0..p1].to_vec());
+        metrics.replica_emitted.push(self.emitted[i]);
+        metrics.replica_cycles.push(self.cycles_used[i]);
     }
 
     /// Resident bytes of the hot arena: array lengths plus the heap held
@@ -857,6 +898,47 @@ mod tests {
         assert_eq!(hot.queued[0], 0);
         assert!(!cold[0].has_work());
         assert_eq!(hot.eligible_from[0], f64::INFINITY);
+    }
+
+    #[test]
+    fn tally_matches_the_cold_ledger() {
+        let mut cold = cold_pair();
+        let mut hot = HotArena::from_cold(&cold);
+        let births = [0.0f64; 6];
+        for (i, r) in cold.iter_mut().enumerate() {
+            r.offer(0, &births, 0.0); // overflows the 4-slot port of replica 0
+            r.process(12.0);
+            let mut hc = hot.full();
+            hc.offer(i, 0, &births, 0.0);
+            hc.process(i, 12.0);
+        }
+        use laar_exec::HaSlot;
+        cold[1].kill();
+        let state = cold[1].state;
+        hot.on_kill(1, &state);
+
+        let (mut want, mut got) = (Conservation::default(), Conservation::default());
+        let mut m = SimMetrics {
+            host_cpu_seconds: vec![0.0],
+            ..Default::default()
+        };
+        for (i, r) in cold.iter().enumerate() {
+            want.tally_replica(r);
+            hot.tally_replica(i, 0, 4.0, &mut got, &mut m);
+        }
+        assert_eq!(got, want);
+        assert!(got.queue_drops > 0 && got.idle_discards > 0 && got.processed > 0);
+        assert_eq!(
+            m.replica_cycles,
+            vec![cold[0].cycles_used, cold[1].cycles_used]
+        );
+        assert_eq!(m.replica_emitted, vec![cold[0].emitted, cold[1].emitted]);
+        assert_eq!(
+            m.replica_port_processed[1],
+            vec![cold[1].ports[0].processed, 0]
+        );
+        let cpu = cold[0].cycles_used / 4.0 + cold[1].cycles_used / 4.0;
+        assert_eq!(m.host_cpu_seconds[0].to_bits(), cpu.to_bits());
     }
 
     #[test]

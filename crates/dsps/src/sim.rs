@@ -16,8 +16,8 @@
 //! horizon. Everything is deterministic given (application, placement,
 //! strategy, trace, failure plan, configuration) — **including the thread
 //! count**: [`SimConfig::threads`] only selects how the two data-plane
-//! phases of a quantum execute (see [`Phases`]), and either way produces
-//! bit-identical [`SimMetrics`] (DESIGN.md §6c).
+//! phases of a quantum execute (the private `Phases`: direct or staged),
+//! and either way produces bit-identical [`SimMetrics`] (DESIGN.md §6c).
 
 use crate::arena::{HotArena, HotChunk, WfScratch};
 use crate::metrics::{SimMetrics, TimeSeries};
@@ -954,21 +954,14 @@ impl Simulation {
             ..Default::default()
         };
         for &idx in &self.slot_of {
-            let (p0, p1) = hot.port_range(idx);
-            for p in p0..p1 {
-                conservation.queue_drops += hot.drops[p];
-                conservation.port_residual += hot.queues[p].len() as u64;
-            }
-            conservation.idle_discards += hot.idle_discards[idx];
-            conservation.processed += hot.processed[idx];
             let host = self.replicas[idx].host;
-            self.metrics.host_cpu_seconds[host] +=
-                hot.cycles_used[idx] / self.placement_capacity[host];
-            self.metrics
-                .replica_port_processed
-                .push(hot.port_processed[p0..p1].to_vec());
-            self.metrics.replica_emitted.push(hot.emitted[idx]);
-            self.metrics.replica_cycles.push(hot.cycles_used[idx]);
+            hot.tally_replica(
+                idx,
+                host,
+                self.placement_capacity[host],
+                &mut conservation,
+                &mut self.metrics,
+            );
         }
         self.metrics.queue_drops = conservation.queue_drops;
         self.metrics.idle_discards = conservation.idle_discards;

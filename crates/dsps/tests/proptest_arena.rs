@@ -13,9 +13,17 @@
 //!   mirrored into a [`HotArena`] (exactly the simulator's sync-boundary
 //!   calls); data ops applied to the hot arena only, the cold structs
 //!   never touched — the SoA engine's split.
+//!
+//! A second property holds the fused [`HotChunk::water_fill`] — a whole
+//! host's GPS pass, the one both engines run — to the plain water-filling
+//! loop over [`Replica`]s that the live worker ran before it moved onto the
+//! arena ([`reference_water_fill`]).
+//!
+//! [`HotChunk::water_fill`]: laar_dsps::HotChunk::water_fill
 
+use laar_dsps::arena::WfScratch;
 use laar_dsps::{HotArena, InPort, Replica};
-use laar_exec::HaSlot;
+use laar_exec::{HaSlot, SlotState};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -214,6 +222,131 @@ proptest! {
                 Op::Tick => now += 0.25,
             }
             assert_in_lockstep(&hot, &hot_cold, &legacy, &format!("step {step} ({op:?})"));
+        }
+    }
+}
+
+/// GPS water-filling written the obvious way over [`Replica`]s: every
+/// round the eligible replicas with queued work share what is left of the
+/// budget equally, until the budget or the work runs out. Returns the
+/// unspent remainder. This was `laar-runtime`'s worker loop; it stays as
+/// the reference [`HotChunk::water_fill`](laar_dsps::HotChunk::water_fill)
+/// is bit-compatible with.
+fn reference_water_fill(replicas: &mut [Replica], now: f64, budget: f64) -> f64 {
+    let mut remaining = budget;
+    loop {
+        let busy: Vec<usize> = (0..replicas.len())
+            .filter(|&i| replicas[i].eligible(now) && replicas[i].has_work())
+            .collect();
+        if busy.is_empty() || remaining <= budget * 1e-12 {
+            break;
+        }
+        let share = remaining / busy.len() as f64;
+        let mut progressed = false;
+        for &i in &busy {
+            let used = replicas[i].process(share);
+            remaining -= used;
+            if used > 0.0 {
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    remaining
+}
+
+/// One input port: `(cost, selectivity, capacity)`; one draw in eight is a
+/// zero-cost port (its tuples complete on any share).
+fn port_strategy() -> impl Strategy<Value = (f64, f64, usize)> {
+    (0usize..8, 0.5f64..9.0, 0.2f64..2.0, 1usize..8)
+        .prop_map(|(free, cost, sel, cap)| (if free == 0 { 0.0 } else { cost }, sel, cap))
+}
+
+/// One pass of a host: `(replica, port, n)` offers, the trace time that
+/// elapsed before it, and its CPU budget.
+type Pass = (Vec<(usize, usize, usize)>, f64, f64);
+
+fn pass_strategy() -> impl Strategy<Value = Pass> {
+    (
+        proptest::collection::vec((0usize..64, 0usize..4, 0usize..7), 0..10),
+        0.0f64..0.4,
+        0.0f64..40.0,
+    )
+}
+
+/// Offer `n` tuples born around `now` to both sides.
+fn offer_both(
+    legacy: &mut [Replica],
+    hot: &mut HotArena,
+    (slot, port, n): (usize, usize, usize),
+    now: f64,
+) {
+    let slot = slot % legacy.len();
+    let nports = legacy[slot].ports.len();
+    if nports == 0 {
+        return;
+    }
+    let births: Vec<f64> = (0..n).map(|j| now + j as f64 * 0.01).collect();
+    legacy[slot].offer(port % nports, &births, now);
+    hot.full().offer(slot, port % nports, &births, now);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn water_fill_matches_the_reference_gps_loop(
+        // Replicas of zero to three ports, each with an eligibility kind.
+        shapes in proptest::collection::vec(
+            (proptest::collection::vec(port_strategy(), 0..4), 0usize..6),
+            1..8,
+        ),
+        backlog in proptest::collection::vec((0usize..64, 0usize..4, 0usize..7), 0..16),
+        passes in proptest::collection::vec(pass_strategy(), 1..6),
+    ) {
+        let mut legacy: Vec<Replica> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, (ports, _))| {
+                let ports = ports.iter().map(|&(c, s, cap)| InPort::new(c, s, cap)).collect();
+                Replica::new(i, 0, 0, ports)
+            })
+            .collect();
+        // Queue a backlog while everything runs, then put every replica in
+        // its drawn state — so the busy scan meets every sentinel with and
+        // without queued work: running, inside a sync window that a later
+        // pass outlives, past one, idle, dead.
+        for &(slot, port, n) in &backlog {
+            let rep = &mut legacy[slot % shapes.len()];
+            if !rep.ports.is_empty() {
+                rep.offer_n(port % rep.ports.len(), n, 0.0, 0.0);
+            }
+        }
+        for (rep, (_, kind)) in legacy.iter_mut().zip(&shapes) {
+            rep.state = match kind {
+                0 => SlotState { sync_until: Some(0.3), ..SlotState::default() },
+                1 => SlotState { sync_until: Some(-1.0), ..SlotState::default() },
+                2 => SlotState { active: false, ..SlotState::default() },
+                3 => SlotState { alive: false, ..SlotState::default() },
+                _ => SlotState::default(),
+            };
+        }
+        // The snapshot carries queues, counters and sentinels alike.
+        let mut hot = HotArena::from_cold(&legacy);
+        let mut scratch = WfScratch::default();
+        let n = legacy.len();
+        let mut now = 0.0f64;
+        for (pi, (offers, dt, budget)) in passes.iter().enumerate() {
+            now += dt;
+            for &o in offers {
+                offer_both(&mut legacy, &mut hot, o, now);
+            }
+            let want = reference_water_fill(&mut legacy, now, *budget);
+            let got = hot.full().water_fill(0, n, now, *budget, &mut scratch);
+            assert_eq!(want.to_bits(), got.to_bits(), "pass {pi}: remainder");
+            assert_in_lockstep(&hot, &legacy, &legacy, &format!("pass {pi}"));
         }
     }
 }

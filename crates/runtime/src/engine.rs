@@ -5,13 +5,14 @@
 //! [`InputTrace`], and a [`FailurePlan`] — and executes them on real OS
 //! threads instead of a discrete event loop:
 //!
-//! * **one worker thread per host**; every replica placed on that host is
-//!   multiplexed onto the thread with the same water-filling generalized
-//!   processor sharing the simulator uses, paced against a [`ScaledClock`]
-//!   (cycle budget = host capacity × elapsed trace time);
+//! * **one worker thread per host**; the replicas placed on that host live
+//!   in a [`HotArena`] — the simulator's data-plane kernel — and every pass
+//!   of the thread is one GPS water-fill of it, paced against a
+//!   [`ScaledClock`] (cycle budget = host capacity × elapsed trace time);
 //! * **bounded SPSC rings** ([`crate::spsc`]) carry tuple birth timestamps
 //!   between threads — one ring per (producer replica or source, consumer
-//!   replica input port), drop-on-overflow like the simulator's ports;
+//!   replica input port), drop-on-overflow like the simulator's ports, each
+//!   drained straight into its port queue;
 //! * the calling thread becomes the **coordinator**: it paces the
 //!   wall-clock [`SourceEmitter`]s, drives the shared
 //!   [`ControlLoop`] (RateMonitor → HAController → delayed commands),
@@ -49,6 +50,7 @@ use crate::spsc::{self, Consumer, Producer};
 use laar_adapt::{AdaptConfig, AdaptReport, AdaptiveController};
 use laar_core::controller::{Command, HaController};
 use laar_core::monitor::RateMonitor;
+use laar_dsps::arena::{HotArena, WfScratch};
 use laar_dsps::metrics::{LatencyStats, SimMetrics, TimeSeries};
 use laar_dsps::trace::{ArrivalProcess, InputTrace, SourceEmitter};
 use laar_exec::replica::{InPort, Replica};
@@ -214,7 +216,17 @@ struct Shared {
     primary: Vec<AtomicI64>,
 }
 
-/// Everything one host worker thread owns.
+/// One inbound transport ring of a host: the local replica and input port
+/// it feeds, and its read end. A worker holds them flat, in ascending
+/// (local replica, port, producer) order — the order offers reach a port.
+type Inbound = (u32, u32, Consumer<f64>);
+
+/// Everything one host worker thread owns: the data plane of its host's
+/// replicas as a [`HotArena`] — the kernel the simulator runs — plus the
+/// protocol state the coordinator shadows, one [`SlotState`] per replica.
+/// The two meet only at the arena's sync boundary (`on_activate` /
+/// `on_deactivate` after a command, `on_kill` / `on_recover` at the crash
+/// flag), exactly as in `laar_dsps::Simulation`.
 struct Worker {
     host: usize,
     capacity: f64,
@@ -226,12 +238,19 @@ struct Worker {
     num_pes: usize,
     num_sinks: usize,
     shared: Arc<Shared>,
-    /// Replicas placed on this host.
-    replicas: Vec<Replica>,
-    /// Global slot (`pe * k + r`) → local index into `replicas`.
-    local_of: Vec<Option<usize>>,
-    /// Per local replica, per port: ring consumers (one per producer).
-    inbound: Vec<Vec<Vec<Consumer<f64>>>>,
+    /// Data plane of the replicas placed on this host, in ascending
+    /// `(pe, r)` order: queues, counters, accumulators.
+    hot: HotArena,
+    /// Per local replica: protocol state (alive / active / sync window).
+    slots: Vec<SlotState>,
+    /// Per local replica: `(pe_dense, replica)`.
+    ids: Vec<(usize, usize)>,
+    /// Global slot (`pe * k + r`) → index among the replicas of the slot's
+    /// host; one table shared by all workers (commands reach a worker on
+    /// its own ring, so the slot is always one of its own).
+    local_of: Arc<[u32]>,
+    /// Every transport ring that ends on this host.
+    inbound: Vec<Inbound>,
     /// Per local replica: producers toward every downstream replica port.
     out_pe: Vec<Vec<Producer<f64>>>,
     /// Per local replica: transport-route index of each producer in
@@ -252,11 +271,13 @@ struct Worker {
 /// What a worker hands back after its thread exits.
 struct WorkerReport {
     host: usize,
-    replicas: Vec<Replica>,
+    /// The host's data plane as the run left it; the coordinator folds it
+    /// into the ledger with [`HotArena::tally_replica`].
+    hot: HotArena,
     /// Returned so residual ring contents can be counted after *all*
     /// producers have stopped (counting inside the worker would race with
     /// other workers' final forwarding passes).
-    inbound: Vec<Vec<Vec<Consumer<f64>>>>,
+    inbound: Vec<Inbound>,
     pe_processed: Vec<u64>,
     sink_received: Vec<u64>,
     output_rate: Vec<f64>,
@@ -284,9 +305,10 @@ impl Worker {
 
         let mut idle_streak = 0u32;
 
+        let n = self.slots.len();
+        let mut scratch = WfScratch::default();
         let mut dead = false;
         let mut last = 0.0f64;
-        let mut batch: Vec<f64> = Vec::new();
 
         loop {
             loop_passes += 1;
@@ -302,13 +324,15 @@ impl Worker {
             let want_dead = self.shared.host_dead[self.host].load(Ordering::Acquire);
             if want_dead && !dead {
                 dead = true;
-                for rep in &mut self.replicas {
-                    rep.kill();
+                for (li, slot) in self.slots.iter_mut().enumerate() {
+                    slot.kill();
+                    self.hot.on_kill(li, slot);
                 }
             } else if !want_dead && dead {
                 dead = false;
-                for rep in &mut self.replicas {
-                    rep.recover(now, self.sync_delay);
+                for (li, slot) in self.slots.iter_mut().enumerate() {
+                    slot.recover(now, self.sync_delay);
+                    self.hot.on_recover(li, slot);
                 }
             }
             if !dead {
@@ -322,27 +346,28 @@ impl Worker {
             while let Some(cmd) = self.commands.pop() {
                 commanded = true;
                 let s = cmd.slot();
-                if let Some(li) = self.local_of[s.pe_dense * self.k + s.replica] {
-                    apply_to_slot(&mut self.replicas[li], &cmd, now, self.sync_delay);
+                let li = self.local_of[s.pe_dense * self.k + s.replica] as usize;
+                debug_assert_eq!(self.ids[li], (s.pe_dense, s.replica), "foreign command");
+                apply_to_slot(&mut self.slots[li], &cmd, now, self.sync_delay);
+                match cmd {
+                    Command::Activate(_) => self.hot.on_activate(li, &self.slots[li]),
+                    Command::Deactivate(_) => self.hot.on_deactivate(li, &self.slots[li]),
                 }
             }
 
-            // Ingest: drain every inbound ring into its port. Ineligible
-            // replicas discard (the proxy answers for a dead process), so
-            // counters line up with the simulator's. Each ring's visible
-            // chunk moves with one atomic.
+            // From here to the end of the pass the data plane is one view
+            // of the arena, as in a simulator quantum.
+            let mut view = self.hot.full();
+
+            // Ingest: every inbound ring's visible run goes straight into
+            // its port queue, one atomic a ring. Ineligible replicas
+            // discard (the proxy answers for a dead process), so counters
+            // line up with the simulator's.
             let mut ingested = 0usize;
-            for li in 0..self.replicas.len() {
-                for port in 0..self.inbound[li].len() {
-                    batch.clear();
-                    for ring in &mut self.inbound[li][port] {
-                        ring.drain_into(&mut batch);
-                    }
-                    if !batch.is_empty() {
-                        ingested += batch.len();
-                        self.replicas[li].offer(port, &batch, now);
-                    }
-                }
+            for (li, port, ring) in &mut self.inbound {
+                ingested += ring.drain_slices(|births| {
+                    view.offer(*li as usize, *port as usize, births, now);
+                });
             }
 
             // CPU: water-filling GPS over the trace time actually elapsed.
@@ -350,45 +375,27 @@ impl Worker {
             let dt = (now - last).max(0.0);
             if dt > 0.0 {
                 let budget = self.capacity * dt;
-                let mut remaining = budget;
-                loop {
-                    let busy: Vec<usize> = (0..self.replicas.len())
-                        .filter(|&i| self.replicas[i].eligible(now) && self.replicas[i].has_work())
-                        .collect();
-                    if busy.is_empty() || remaining <= budget * 1e-12 {
-                        break;
-                    }
-                    let share = remaining / busy.len() as f64;
-                    let mut progressed = false;
-                    for &i in &busy {
-                        let used = self.replicas[i].process(share);
-                        remaining -= used;
-                        if used > 0.0 {
-                            progressed = true;
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                cycles_this_pass = budget - remaining;
+                cycles_this_pass = budget - view.water_fill(0, n, now, budget, &mut scratch);
                 utilization[sec] += cycles_this_pass / self.capacity;
             }
 
-            // Forward primary outputs; secondaries' outputs are suppressed.
+            // Forward primary outputs (secondaries' outputs are
+            // suppressed) and attribute the logical work done this pass to
+            // the current primary.
             let mut forwarded = false;
-            for li in 0..self.replicas.len() {
-                if self.replicas[li].out_births.is_empty() {
+            for (li, &(pe, r)) in self.ids.iter().enumerate() {
+                let primary = self.shared.primary[pe].load(Ordering::Acquire) == r as i64;
+                if primary {
+                    pe_processed[pe] += view.processed[li] - view.processed_snapshot[li];
+                }
+                let births = &mut view.out_births[li];
+                if births.is_empty() {
                     continue;
                 }
-                let births = std::mem::take(&mut self.replicas[li].out_births);
-                let pe = self.replicas[li].pe_dense;
-                let r = self.replicas[li].replica;
-                if self.shared.primary[pe].load(Ordering::Acquire) == r as i64 {
+                if primary {
                     forwarded = true;
-                    for (oi, ring) in self.out_pe[li].iter_mut().enumerate() {
-                        let route = self.out_routes[li][oi];
-                        let acc = ring.push_slice(&births) as u64;
+                    for (ring, &route) in self.out_pe[li].iter_mut().zip(&self.out_routes[li]) {
+                        let acc = ring.push_slice(births) as u64;
                         let rej = births.len() as u64 - acc;
                         pushed += acc;
                         transport_dropped += rej;
@@ -398,26 +405,14 @@ impl Worker {
                     for &snk in &self.out_sinks[li] {
                         sink_received[snk] += births.len() as u64;
                         output_rate[sec] += births.len() as f64;
-                        for &b in &births {
+                        for &b in births.iter() {
                             latency.record(now - b);
                         }
                     }
                 }
-                let mut buf = births;
-                buf.clear();
-                self.replicas[li].out_births = buf;
+                births.clear();
             }
-
-            // Attribute logical work done this tick to the current primary.
-            for li in 0..self.replicas.len() {
-                let rep = &self.replicas[li];
-                if self.shared.primary[rep.pe_dense].load(Ordering::Acquire) == rep.replica as i64 {
-                    pe_processed[rep.pe_dense] += rep.processed - rep.processed_snapshot;
-                }
-            }
-            for rep in &mut self.replicas {
-                rep.processed_snapshot = rep.processed;
-            }
+            view.processed_snapshot.copy_from_slice(view.processed);
 
             if stopping {
                 break;
@@ -431,10 +426,7 @@ impl Worker {
             // oversleeping an idle nap is harmless because the next pass
             // re-anchors to measured time). The cap stays far enough below
             // `detection_delay` that heartbeats never look stale.
-            let backlog = self
-                .replicas
-                .iter()
-                .any(|rep| rep.eligible(now) && rep.has_work());
+            let backlog = (0..n).any(|i| view.eligible_from[i] <= now && view.queued[i] > 0);
             let busy = ingested > 0 || cycles_this_pass > 0.0 || forwarded || commanded || backlog;
             if busy {
                 idle_streak = 0;
@@ -450,7 +442,7 @@ impl Worker {
 
         WorkerReport {
             host: self.host,
-            replicas: self.replicas,
+            hot: self.hot,
             inbound: self.inbound,
             pe_processed,
             sink_received,
@@ -476,6 +468,9 @@ pub struct LiveRuntime {
     num_hosts: usize,
     capacities: Vec<f64>,
     slot_host: Vec<usize>,
+    /// Global slot → index among its host's replicas (shared with the
+    /// workers).
+    local_of: Arc<[u32]>,
     perma_dead: Vec<bool>,
 
     workers: Vec<Worker>,
@@ -713,6 +708,17 @@ impl LiveRuntime {
             .map(|s| s.max(1))
             .collect();
 
+        // Slot → index among its host's replicas, numbered in slot order.
+        let slot_host: Vec<usize> = replicas.iter().map(|r| r.host).collect();
+        let mut host_len = vec![0u32; num_hosts];
+        let local_of: Arc<[u32]> = slot_host
+            .iter()
+            .map(|&h| {
+                host_len[h] += 1;
+                host_len[h] - 1
+            })
+            .collect();
+
         let mut rt = Self {
             duration,
             seconds,
@@ -720,7 +726,8 @@ impl LiveRuntime {
             num_pes: np,
             num_hosts,
             capacities: placement.hosts().iter().map(|h| h.capacity).collect(),
-            slot_host: replicas.iter().map(|r| r.host).collect(),
+            slot_host,
+            local_of,
             perma_dead: vec![false; np * k],
             workers: Vec::new(),
             shared,
@@ -770,28 +777,26 @@ impl LiveRuntime {
         rt.proxy.elect(&rt.shadow, 0.0);
         rt.publish_primaries();
 
-        // Partition replicas (with their ring ends) into per-host workers.
+        // Partition replicas (with their ring ends) into per-host workers,
+        // in ascending slot order within each host.
         let mut per_host: Vec<Vec<Replica>> = (0..num_hosts).map(|_| Vec::new()).collect();
-        let mut per_host_in: Vec<Vec<Vec<Vec<Consumer<f64>>>>> =
-            (0..num_hosts).map(|_| Vec::new()).collect();
+        let mut per_host_in: Vec<Vec<Inbound>> = (0..num_hosts).map(|_| Vec::new()).collect();
         let mut per_host_out: Vec<Vec<Vec<Producer<f64>>>> =
             (0..num_hosts).map(|_| Vec::new()).collect();
         let mut per_host_routes: Vec<Vec<Vec<usize>>> =
             (0..num_hosts).map(|_| Vec::new()).collect();
         let mut per_host_sinks: Vec<Vec<Vec<usize>>> = (0..num_hosts).map(|_| Vec::new()).collect();
-        let mut local_of: Vec<Vec<Option<usize>>> =
-            (0..num_hosts).map(|_| vec![None; np * k]).collect();
-        let mut cons_iter = consumers.into_iter();
         let mut prod_iter = up_producers.into_iter();
         let mut route_iter = slot_routes.into_iter();
-        for (slot, rep) in replicas.into_iter().enumerate() {
+        for ((slot, rep), ports) in replicas.into_iter().enumerate().zip(consumers) {
             let h = rep.host;
-            let pe = rep.pe_dense;
-            local_of[h][slot] = Some(per_host[h].len());
-            per_host_in[h].push(cons_iter.next().expect("consumer per slot"));
+            let li = rt.local_of[slot];
+            for (port, rings) in ports.into_iter().enumerate() {
+                per_host_in[h].extend(rings.into_iter().map(|rx| (li, port as u32, rx)));
+            }
             per_host_out[h].push(prod_iter.next().expect("producer per slot"));
             per_host_routes[h].push(route_iter.next().expect("routes per slot"));
-            per_host_sinks[h].push(pe_sink_out[pe].clone());
+            per_host_sinks[h].push(pe_sink_out[rep.pe_dense].clone());
             per_host[h].push(rep);
         }
 
@@ -813,8 +818,15 @@ impl LiveRuntime {
                 num_pes: np,
                 num_sinks: g.num_sinks(),
                 shared: rt.shared.clone(),
-                replicas: std::mem::take(&mut per_host[h]),
-                local_of: std::mem::take(&mut local_of[h]),
+                // The data plane leaves the cold structs here, with the
+                // worst-case kills and the initial commands applied.
+                hot: HotArena::from_cold(&per_host[h]),
+                slots: per_host[h].iter().map(|r| r.state).collect(),
+                ids: per_host[h]
+                    .iter()
+                    .map(|r| (r.pe_dense, r.replica))
+                    .collect(),
+                local_of: rt.local_of.clone(),
                 inbound: std::mem::take(&mut per_host_in[h]),
                 out_pe: std::mem::take(&mut per_host_out[h]),
                 out_routes: std::mem::take(&mut per_host_routes[h]),
@@ -1067,12 +1079,11 @@ impl LiveRuntime {
 
         // Merge worker-side metrics; count residuals only now, when every
         // producer thread has exited.
-        let mut all_replicas: Vec<Option<Replica>> =
-            (0..self.num_pes * self.k).map(|_| None).collect();
+        let mut arenas: Vec<HotArena> = Vec::with_capacity(self.num_hosts);
         let mut ring_residual = 0u64;
         metrics.sink_received = Vec::new();
         let mut sink_received: Vec<u64> = Vec::new();
-        for mut report in reports {
+        for report in reports {
             for (pe, &n) in report.pe_processed.iter().enumerate() {
                 metrics.pe_processed[pe] += n;
             }
@@ -1101,39 +1112,34 @@ impl LiveRuntime {
                 self.routes[rid].pushed += p;
                 self.routes[rid].dropped += d;
             }
-            for ports in &mut report.inbound {
-                for rings in ports {
-                    for ring in rings {
-                        ring_residual += ring.len() as u64;
-                    }
-                }
+            for (_, _, ring) in &report.inbound {
+                ring_residual += ring.len() as u64;
             }
-            for rep in report.replicas {
-                let slot = rep.pe_dense * self.k + rep.replica;
-                all_replicas[slot] = Some(rep);
-            }
+            assert_eq!(
+                report.host,
+                arenas.len(),
+                "workers are joined in host order"
+            );
+            arenas.push(report.hot);
         }
         metrics.sink_received = sink_received;
 
-        // Final per-replica accounting, identical to the simulator's: fold
-        // every replica into the shared conservation ledger.
+        // Final per-replica accounting, the simulator's: fold every
+        // replica, in dense slot order, into the shared conservation ledger.
         let mut conservation = Conservation {
             pushed,
             transport_dropped,
             ring_residual,
             ..Default::default()
         };
-        for rep in all_replicas
-            .iter()
-            .map(|r| r.as_ref().expect("all slots reported"))
-        {
-            conservation.tally_replica(rep);
-            metrics.host_cpu_seconds[rep.host] += rep.cycles_used / self.capacities[rep.host];
-            metrics
-                .replica_port_processed
-                .push(rep.ports.iter().map(|p| p.processed).collect());
-            metrics.replica_emitted.push(rep.emitted);
-            metrics.replica_cycles.push(rep.cycles_used);
+        for (slot, &host) in self.slot_host.iter().enumerate() {
+            arenas[host].tally_replica(
+                self.local_of[slot] as usize,
+                host,
+                self.capacities[host],
+                &mut conservation,
+                &mut metrics,
+            );
         }
         metrics.queue_drops = conservation.queue_drops;
         metrics.idle_discards = conservation.idle_discards;

@@ -167,4 +167,32 @@ mod tests {
         );
         assert!(report.conservation.is_balanced());
     }
+
+    #[test]
+    fn zero_length_trace_returns_an_empty_balanced_report() {
+        // `seconds` is clamped to one bucket, so neither the worker's nor
+        // the coordinator's `seconds - 1` can underflow.
+        let p = fig2_problem(0.6);
+        let trace = InputTrace::constant(&[4.0], 0.0);
+        let report = LiveRuntime::new(
+            &p.app,
+            &p.placement,
+            ActivationStrategy::all_active(2, 2, 2),
+            &trace,
+            FailurePlan::None,
+            fast(),
+        )
+        .run();
+        let m = &report.metrics;
+        assert_eq!(m.source_emitted, vec![0]);
+        assert_eq!(m.total_processed(), 0);
+        assert_eq!(m.total_sink_output(), 0);
+        assert_eq!(report.conservation, Conservation::default());
+        assert!(report.conservation.is_balanced());
+        assert!(report
+            .transport_edges
+            .iter()
+            .all(|e| e.pushed == 0 && e.dropped == 0));
+        assert_eq!(m.replica_emitted, vec![0; 4]);
+    }
 }

@@ -17,9 +17,12 @@
 //!   one atomic (its own release store) instead of two.
 //!
 //! On top of the scalar [`Producer::push`]/[`Consumer::pop`], the batched
-//! [`Producer::push_slice`] and [`Consumer::drain_into`] move a whole
-//! slice per release store — the live engine forwards each replica's
-//! output batch and drains each input ring in one call per tick.
+//! [`Producer::push_slice`], [`Consumer::drain_slices`] and
+//! [`Consumer::drain_into`] move a whole batch per release store, as at
+//! most two contiguous copies (the part up to the end of the buffer and
+//! the part that wrapped) — the live engine forwards each replica's output
+//! batch with one `push_slice` and drains each input ring straight into
+//! its port queue with one `drain_slices` per pass.
 //!
 //! Overflow never blocks: [`Producer::push`] returns the rejected value,
 //! [`Producer::push_slice`] the accepted count, and the caller counts the
@@ -28,6 +31,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -71,6 +75,25 @@ impl<T> Ring<T> {
             .0
             .load(Ordering::Acquire)
             .wrapping_sub(self.head.0.load(Ordering::Acquire))
+    }
+
+    /// The slot array as one `T` pointer, derived from the whole buffer so
+    /// it may address a run of slots. `UnsafeCell` and `MaybeUninit` are
+    /// both `repr(transparent)`, so slot `i` is `slots().add(i)`; writing
+    /// through it is what the `UnsafeCell` grants.
+    #[inline]
+    fn slots(&self) -> *mut T {
+        UnsafeCell::raw_get(self.buf.as_ptr()).cast::<T>()
+    }
+
+    /// Split the run of `n <= capacity` slots starting at index `at` into
+    /// its part up to the end of the buffer and the part that wrapped to
+    /// the front: `(start, first, second)` with `first + second == n`.
+    #[inline]
+    fn regions(&self, at: usize, n: usize) -> (usize, usize, usize) {
+        let start = at & self.mask;
+        let first = n.min(self.mask + 1 - start);
+        (start, first, n - first)
     }
 }
 
@@ -158,9 +181,18 @@ impl<T: Send> Producer<T> {
         if n == 0 {
             return 0;
         }
-        for (i, &v) in vals[..n].iter().enumerate() {
-            let slot = self.tail.wrapping_add(i) & self.ring.mask;
-            unsafe { (*self.ring.buf[slot].get()).write(v) };
+        let (start, first, second) = self.ring.regions(self.tail, n);
+        let slots = self.ring.slots();
+        // SAFETY: `free_slots` bounds `n` by the slots between `tail` and
+        // the consumer's head one lap on, which the consumer does not read
+        // until the release store below publishes them; `regions` keeps
+        // both runs inside the buffer (`start + first <= capacity`,
+        // `second <= start`), and `vals` is a caller's slice, disjoint from
+        // the ring's allocation. `T: Copy`, so the old slot contents need
+        // no drop.
+        unsafe {
+            ptr::copy_nonoverlapping(vals.as_ptr(), slots.add(start), first);
+            ptr::copy_nonoverlapping(vals.as_ptr().add(first), slots, second);
         }
         self.tail = self.tail.wrapping_add(n);
         self.ring.tail.0.store(self.tail, Ordering::Release);
@@ -202,24 +234,67 @@ impl<T: Send> Consumer<T> {
         Some(v)
     }
 
-    /// Move every currently visible item into `out` (appending, FIFO
-    /// order) and return how many were moved. Always refreshes the cached
-    /// tail (a drain wants everything published so far); one release store
-    /// then frees the whole chunk for the producer.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
+    /// The one consumer-side batch operation: hand every currently
+    /// visible item to `f` in FIFO order as at most two contiguous slices
+    /// (the second one only when the run wraps past the end of the
+    /// buffer), then free the whole run for the producer with one release
+    /// store. Always refreshes the cached tail (a drain wants everything
+    /// published so far). Returns the number of items handed over.
+    ///
+    /// The items count as *moved out* once `f` has seen them — the ring
+    /// never drops them — so `f` must take them by bitwise copy.
+    fn take_slices(&mut self, mut f: impl FnMut(&[T])) -> usize {
         self.cached_tail = self.ring.tail.0.load(Ordering::Acquire);
         let n = self.cached_tail.wrapping_sub(self.head);
         if n == 0 {
             return 0;
         }
-        out.reserve(n);
-        for i in 0..n {
-            let slot = self.head.wrapping_add(i) & self.ring.mask;
-            out.push(unsafe { (*self.ring.buf[slot].get()).assume_init_read() });
+        let (start, first, second) = self.ring.regions(self.head, n);
+        let slots = self.ring.slots();
+        // SAFETY: the acquire load above makes the producer's writes to
+        // the `n` slots from `head` visible and initialised, and the
+        // producer does not write them again until the release store
+        // below; `regions` keeps both runs inside the buffer.
+        unsafe {
+            f(std::slice::from_raw_parts(slots.add(start), first));
+            if second > 0 {
+                f(std::slice::from_raw_parts(slots, second));
+            }
         }
         self.head = self.head.wrapping_add(n);
         self.ring.head.0.store(self.head, Ordering::Release);
         n
+    }
+
+    /// Hand every currently visible item to `f`, in FIFO order, as at most
+    /// two contiguous slices, and return how many there were — a drain
+    /// with no staging buffer: the live worker's `f` offers each slice
+    /// straight to an input-port queue.
+    pub fn drain_slices(&mut self, f: impl FnMut(&[T])) -> usize
+    where
+        T: Copy,
+    {
+        self.take_slices(f)
+    }
+
+    /// Move every currently visible item into `out` (appending, FIFO
+    /// order) and return how many were moved.
+    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
+        self.take_slices(|items| {
+            out.reserve(items.len());
+            // SAFETY: `reserve` made room for `items.len()` more elements
+            // past `out.len()`; the copy moves the items out of the ring
+            // (see `take_slices`), so each has exactly one owner again
+            // once `set_len` covers it.
+            unsafe {
+                ptr::copy_nonoverlapping(
+                    items.as_ptr(),
+                    out.as_mut_ptr().add(out.len()),
+                    items.len(),
+                );
+                out.set_len(out.len() + items.len());
+            }
+        })
     }
 
     /// Items currently queued (racy snapshot).
@@ -290,9 +365,34 @@ mod tests {
     }
 
     #[test]
+    fn drain_slices_hands_over_one_run_in_at_most_two_slices() {
+        let (mut tx, mut rx) = channel::<u32>(4);
+        let mut seen: Vec<Vec<u32>> = Vec::new();
+        // Empty ring: nothing is handed over.
+        assert_eq!(rx.drain_slices(|s| seen.push(s.to_vec())), 0);
+        assert!(seen.is_empty());
+        // Full ring from slot 0: one contiguous slice.
+        assert_eq!(tx.push_slice(&[0, 1, 2, 3, 4]), 4);
+        assert_eq!(rx.drain_slices(|s| seen.push(s.to_vec())), 4);
+        assert_eq!(seen, vec![vec![0, 1, 2, 3]]);
+        // Full ring from slot 2: the run wraps, so do the copies in and out.
+        assert_eq!(tx.push_slice(&[4, 5]), 2);
+        assert_eq!(rx.pop(), Some(4));
+        assert_eq!(rx.pop(), Some(5));
+        assert_eq!(tx.push_slice(&[6, 7, 8, 9]), 4);
+        seen.clear();
+        assert_eq!(rx.drain_slices(|s| seen.push(s.to_vec())), 4);
+        assert_eq!(seen, vec![vec![6, 7], vec![8, 9]]);
+        // The drained slots are free again.
+        assert_eq!(tx.push_slice(&[10, 11, 12, 13]), 4);
+        assert_eq!(rx.len(), 4);
+    }
+
+    #[test]
     fn cross_thread_transfer_preserves_every_item() {
         let (mut tx, mut rx) = channel::<u64>(64);
-        let n = 100_000u64;
+        // Interpreted, every push is a thousand times slower.
+        let n = if cfg!(miri) { 2_000u64 } else { 100_000u64 };
         let producer = std::thread::spawn(move || {
             let mut dropped = 0u64;
             for i in 0..n {

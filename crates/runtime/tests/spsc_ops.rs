@@ -1,13 +1,14 @@
 //! Correctness of the batched SPSC ring operations.
 //!
 //! Three angles: (1) a property test driving two rings — one through the
-//! batched `push_slice`/`drain_into` API, one through scalar `push`/`pop`
-//! — with the same random operation sequence, asserting they are
-//! observation-equivalent (same accepted counts, same popped values, same
-//! residuals); (2) a two-thread stress test moving a million tuples
-//! through a capacity-8 ring in slices, asserting no loss, duplication,
-//! or reordering; (3) a wrap-around leak test with a drop-counting
-//! payload, asserting every value ever created is dropped exactly once.
+//! batched `push_slice`/`drain_into`/`drain_slices` API, one through
+//! scalar `push`/`pop` — with the same random operation sequence,
+//! asserting they are observation-equivalent (same accepted counts, same
+//! popped values, same residuals); (2) a two-thread stress test moving a
+//! million tuples through a capacity-8 ring in slices, asserting no loss,
+//! duplication, or reordering; (3) a wrap-around leak test with a
+//! drop-counting payload, asserting every value ever created is dropped
+//! exactly once.
 
 use laar_runtime::spsc;
 use proptest::prelude::*;
@@ -24,13 +25,17 @@ enum Op {
     Pop(usize),
     /// Drain everything (batched ring: `drain_into`; reference: pop-loop).
     Drain,
+    /// Drain everything without a staging buffer (batched ring:
+    /// `drain_slices`; reference: pop-loop).
+    DrainSlices,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..3, 0usize..13).prop_map(|(kind, n)| match kind {
+    (0usize..4, 0usize..13).prop_map(|(kind, n)| match kind {
         0 => Op::PushSlice(n),
         1 => Op::Pop(n),
-        _ => Op::Drain,
+        2 => Op::Drain,
+        _ => Op::DrainSlices,
     })
 }
 
@@ -68,6 +73,22 @@ proptest! {
                     let mut got_b = Vec::new();
                     brx.drain_into(&mut got_b);
                     let got_s: Vec<u64> = std::iter::from_fn(|| srx.pop()).collect();
+                    prop_assert_eq!(got_b, got_s);
+                }
+                Op::DrainSlices => {
+                    // With capacities 1–11 and pushes of up to 12 the
+                    // sequences meet full, empty and wrapped rings alike.
+                    let mut got_b = Vec::new();
+                    let mut slices = 0;
+                    let n = brx.drain_slices(|s| {
+                        assert!(!s.is_empty(), "an empty slice is never handed over");
+                        slices += 1;
+                        got_b.extend_from_slice(s);
+                    });
+                    let got_s: Vec<u64> = std::iter::from_fn(|| srx.pop()).collect();
+                    prop_assert_eq!(n, got_s.len());
+                    prop_assert!(slices <= 2, "one run wraps at most once");
+                    prop_assert_eq!(slices == 0, got_s.is_empty());
                     prop_assert_eq!(got_b, got_s);
                 }
             }

@@ -227,3 +227,52 @@ fn activation_schedule_agrees() {
     );
     assert!(live.commands_applied > 0);
 }
+
+#[test]
+fn crash_and_config_switches_cross_the_sync_boundary() {
+    // One run that takes every path across the worker's hot/cold sync
+    // boundary: the LAAR strategy's Low->High->Low switches deactivate and
+    // re-activate a replica of each PE (`on_deactivate` / `on_activate`),
+    // and host 0 crashes at 10 s and restarts 16 s later, inside the trace
+    // (`on_kill` / `on_recover`). Whatever the interleaving, every tuple
+    // must be accounted for, per replica and per edge.
+    let p = fig2_problem(0.6);
+    let trace = InputTrace::low_high_centered(4.0, 8.0, 60.0, 1.0 / 3.0);
+    let (rt_cfg, _) = cfgs();
+    let live = LiveRuntime::new(
+        &p.app,
+        &p.placement,
+        fig2_strategy_laar(),
+        &trace,
+        FailurePlan::host_crash(HostId(0), 10.0),
+        rt_cfg,
+    )
+    .run();
+    let m = &live.metrics;
+    let ledger = &live.conservation;
+
+    assert!(m.config_switches >= 2, "switches: {}", m.config_switches);
+    assert!(m.commands_applied > 0);
+    assert!(m.failovers >= 1, "failovers: {}", m.failovers);
+    assert!(ledger.is_balanced(), "{ledger:?}");
+    // Deactivated and crashed replicas answered for the tuples they were
+    // sent, and lost what they had queued.
+    assert!(ledger.idle_discards > 0, "{ledger:?}");
+    assert_eq!(m.idle_discards, ledger.idle_discards);
+    assert_eq!(
+        live.transport_edges.iter().map(|e| e.pushed).sum::<u64>(),
+        ledger.pushed
+    );
+    assert_eq!(
+        live.transport_edges.iter().map(|e| e.dropped).sum::<u64>(),
+        ledger.transport_dropped
+    );
+    // The restarted host works again after its sync window.
+    assert!(m.total_sink_output() > 0);
+    assert_eq!(m.replica_cycles.len(), 4);
+    assert!(
+        m.replica_cycles.iter().all(|&c| c > 0.0),
+        "{:?}",
+        m.replica_cycles
+    );
+}
