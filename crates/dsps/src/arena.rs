@@ -7,12 +7,14 @@
 //! ([`HotArena::tally_replica`]) are the same code under both drivers.
 //!
 //! The per-quantum hot path (GPS water-filling and forwarding) touches a
-//! handful of fields per replica — eligibility, queue depth, the
-//! selectivity accumulator, per-port costs and queues — while the full
-//! [`Replica`] carries the whole protocol state machine. [`HotArena`]
-//! splits those hot fields into dense, host-major parallel `Vec`s so the
-//! scheduling sweep walks flat arrays instead of pointer-chasing
-//! heap-allocated structs through `slot_of` indirection.
+//! handful of fields per replica, while the full [`Replica`] carries the
+//! whole protocol state machine. [`HotArena`] keeps the per-replica ones —
+//! eligibility, queue depth, accumulators, counters — as dense, host-major
+//! parallel `Vec`s, because the busy scan streams two of them over every
+//! replica every quantum, and everything about an input port — cost,
+//! selectivity, head progress, queue — as one [`Port`] record of exactly a
+//! cache line, because a port operation wants all of one port and nothing
+//! of its neighbours.
 //!
 //! **Hot/cold split.** The cold [`Replica`] arena in the simulator stays
 //! the protocol source of truth: commands, failures, recoveries, and
@@ -47,22 +49,27 @@ use laar_exec::proxy::SlotState;
 use laar_exec::replica::Replica;
 use laar_exec::Conservation;
 
+/// Longest queue a [`Ring`] holds (and the largest port capacity
+/// [`HotArena::from_cold`] accepts): the power-of-two buffer length must
+/// fit the `u32` head/length pair.
+const MAX_QUEUE: usize = 1 << 31;
+
 /// A growable power-of-two ring buffer of `f64` birth timestamps — the
 /// struct-of-arrays replacement for `VecDeque<f64>` port queues, with
 /// slice-batched pushes and no per-element capacity checks on the pop
-/// path.
+/// path. Three words, so that it fits inside the one-line [`Port`].
 #[derive(Debug, Clone, Default)]
 pub struct Ring {
-    buf: Vec<f64>,
-    head: usize,
-    len: usize,
+    buf: Box<[f64]>,
+    head: u32,
+    len: u32,
 }
 
 impl Ring {
     /// Number of queued entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// `true` when nothing is queued.
@@ -77,16 +84,16 @@ impl Ring {
         if vals.is_empty() {
             return;
         }
-        let needed = self.len + vals.len();
+        let needed = self.len() + vals.len();
         if needed > self.buf.len() {
             self.grow(needed);
         }
         let cap = self.buf.len();
-        let start = (self.head + self.len) & (cap - 1);
+        let start = (self.head as usize + self.len()) & (cap - 1);
         let n1 = vals.len().min(cap - start);
         self.buf[start..start + n1].copy_from_slice(&vals[..n1]);
         self.buf[..vals.len() - n1].copy_from_slice(&vals[n1..]);
-        self.len += vals.len();
+        self.len = needed as u32;
     }
 
     /// Pop the head entry. Callers must check [`Ring::is_empty`] first.
@@ -96,8 +103,8 @@ impl Ring {
         // SAFETY: a non-empty ring has a power-of-two buffer and `head`
         // is only ever advanced under the `buf.len() - 1` mask, so it
         // stays in bounds.
-        let v = unsafe { *self.buf.get_unchecked(self.head) };
-        self.head = (self.head + 1) & (self.buf.len() - 1);
+        let v = unsafe { *self.buf.get_unchecked(self.head as usize) };
+        self.head = (self.head + 1) & (self.buf.len() - 1) as u32;
         self.len -= 1;
         v
     }
@@ -111,26 +118,51 @@ impl Ring {
 
     /// Entries front to back (for state comparisons in tests).
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.len).map(move |i| self.buf[(self.head + i) & (self.buf.len() - 1)])
+        (0..self.len()).map(move |i| self.buf[(self.head as usize + i) & (self.buf.len() - 1)])
     }
 
     /// Heap bytes held by the backing buffer.
     #[inline]
     pub fn capacity_bytes(&self) -> usize {
-        self.buf.len() * std::mem::size_of::<f64>()
+        std::mem::size_of_val(&*self.buf)
     }
 
     fn grow(&mut self, needed: usize) {
-        let new_cap = needed.next_power_of_two().max(8);
-        let mut nb = vec![0.0f64; new_cap];
-        let cap = self.buf.len();
-        for (i, slot) in nb.iter_mut().enumerate().take(self.len) {
-            *slot = self.buf[(self.head + i) & (cap - 1)];
+        assert!(
+            needed <= MAX_QUEUE,
+            "ring of {needed} entries exceeds u32 indexing"
+        );
+        let mut nb = vec![0.0f64; needed.next_power_of_two().max(8)].into_boxed_slice();
+        for (slot, v) in nb.iter_mut().zip(self.iter()) {
+            *slot = v;
         }
         self.buf = nb;
         self.head = 0;
     }
 }
+
+/// Everything the data plane keeps per input port, in one cache line: an
+/// offer, a busy-scan probe, a water-fill step and a completion each touch
+/// this line and (overflow drops aside, [`HotArena::drops`]) nothing else
+/// of the port.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+pub struct Port {
+    /// Per-tuple CPU cost.
+    pub cost: f64,
+    /// Selectivity.
+    pub sel: f64,
+    /// Cycles invested in the head tuple.
+    pub head_progress: f64,
+    /// Tuples fully processed.
+    pub processed: u64,
+    /// Queue capacity.
+    pub cap: u32,
+    /// Queued birth timestamps.
+    pub queue: Ring,
+}
+
+const _: () = assert!(std::mem::size_of::<Port>() == 64);
 
 /// Reusable scratch for [`HotChunk::water_fill`]: the per-host busy
 /// list. One per chunk of the run, allocated once and recycled across
@@ -141,8 +173,8 @@ pub struct WfScratch {
 }
 
 /// Dense parallel arrays of the per-quantum hot replica state, in the
-/// simulator's host-major arena order. Per-port fields are flattened into
-/// single arrays indexed by `port_off[i]..port_off[i + 1]`.
+/// simulator's host-major arena order, and one flat table of [`Port`]
+/// records indexed by `port_off[i]..port_off[i + 1]`.
 ///
 /// Fields are public: this is engine-owned state, and the engine and the
 /// divergence proptests read it directly.
@@ -171,20 +203,11 @@ pub struct HotArena {
     /// Flat port table bounds: replica `i` owns ports
     /// `port_off[i]..port_off[i + 1]`. Length `n + 1`.
     pub port_off: Vec<u32>,
-    /// Per-tuple CPU cost per port.
-    pub cost: Vec<f64>,
-    /// Selectivity per port.
-    pub sel: Vec<f64>,
-    /// Queue capacity per port.
-    pub cap: Vec<u32>,
-    /// Cycles invested in the head tuple per port.
-    pub head_progress: Vec<f64>,
-    /// Overflow drops per port.
+    /// The input ports of every replica.
+    pub ports: Vec<Port>,
+    /// Overflow drops per port — written only when an offer overflows, so
+    /// kept out of the [`Port`] line.
     pub drops: Vec<u64>,
-    /// Tuples fully processed per port.
-    pub port_processed: Vec<u64>,
-    /// Queued birth timestamps per port.
-    pub queues: Vec<Ring>,
     /// Cached arena-wide index of the port the next `process` call would
     /// draw from, per replica; `u32::MAX` marks the cache stale. Any
     /// mutation of a replica's queues or cursor (`offer`, `process`, the
@@ -209,55 +232,52 @@ impl HotArena {
             "hot arena exceeds u32 indexing"
         );
         let mut a = Self {
-            eligible_from: Vec::with_capacity(n),
+            eligible_from: replicas.iter().map(|r| r.state.eligible_from()).collect(),
             queued: Vec::with_capacity(n),
-            out_acc: Vec::with_capacity(n),
-            rr: Vec::with_capacity(n),
-            processed: Vec::with_capacity(n),
-            processed_snapshot: Vec::with_capacity(n),
-            emitted: Vec::with_capacity(n),
-            cycles_used: Vec::with_capacity(n),
-            idle_discards: Vec::with_capacity(n),
-            out_births: Vec::with_capacity(n),
+            out_acc: replicas.iter().map(|r| r.out_acc).collect(),
+            rr: replicas.iter().map(|r| r.rr_cursor() as u32).collect(),
+            processed: replicas.iter().map(|r| r.processed).collect(),
+            processed_snapshot: replicas.iter().map(|r| r.processed_snapshot).collect(),
+            emitted: replicas.iter().map(|r| r.emitted).collect(),
+            cycles_used: replicas.iter().map(|r| r.cycles_used).collect(),
+            idle_discards: replicas.iter().map(|r| r.idle_discards).collect(),
+            out_births: replicas.iter().map(|r| r.out_births.clone()).collect(),
             port_off: Vec::with_capacity(n + 1),
-            cost: Vec::with_capacity(total_ports),
-            sel: Vec::with_capacity(total_ports),
-            cap: Vec::with_capacity(total_ports),
-            head_progress: Vec::with_capacity(total_ports),
+            ports: Vec::with_capacity(total_ports),
             drops: Vec::with_capacity(total_ports),
-            port_processed: Vec::with_capacity(total_ports),
-            queues: Vec::with_capacity(total_ports),
             active_port: vec![u32::MAX; n],
             head_need: vec![0.0; n],
         };
         a.port_off.push(0);
         for r in replicas {
-            a.eligible_from.push(r.state.eligible_from());
-            a.queued
-                .push(r.ports.iter().map(|p| p.queue.len()).sum::<usize>() as u32);
-            a.out_acc.push(r.out_acc);
-            a.rr.push(r.rr_cursor() as u32);
-            a.processed.push(r.processed);
-            a.processed_snapshot.push(r.processed_snapshot);
-            a.emitted.push(r.emitted);
-            a.cycles_used.push(r.cycles_used);
-            a.idle_discards.push(r.idle_discards);
-            a.out_births.push(r.out_births.clone());
-            for p in &r.ports {
-                debug_assert!(p.capacity < u32::MAX as usize);
-                a.cost.push(p.cost);
-                a.sel.push(p.sel);
-                a.cap.push(p.capacity as u32);
-                a.head_progress.push(p.head_progress);
-                a.drops.push(p.drops);
-                a.port_processed.push(p.processed);
-                let mut q = Ring::default();
+            // What `queued[i]: u32` can still count of this replica's ports.
+            let mut room = u32::MAX as usize;
+            let mut queued = 0;
+            for (port, p) in r.ports.iter().enumerate() {
+                assert!(
+                    p.queue.len() <= p.capacity && p.capacity <= MAX_QUEUE.min(room),
+                    "port capacity exceeds the u32 queue counters: (pe {}, port {port}, capacity {})",
+                    r.pe_dense,
+                    p.capacity
+                );
+                room -= p.capacity;
+                queued += p.queue.len();
+                let mut queue = Ring::default();
                 let (front, back) = p.queue.as_slices();
-                q.push_slice(front);
-                q.push_slice(back);
-                a.queues.push(q);
+                queue.push_slice(front);
+                queue.push_slice(back);
+                a.ports.push(Port {
+                    cost: p.cost,
+                    sel: p.sel,
+                    head_progress: p.head_progress,
+                    processed: p.processed,
+                    cap: p.capacity as u32,
+                    queue,
+                });
+                a.drops.push(p.drops);
             }
-            a.port_off.push(a.cost.len() as u32);
+            a.queued.push(queued as u32);
+            a.port_off.push(a.ports.len() as u32);
         }
         a
     }
@@ -309,9 +329,7 @@ impl HotArena {
     /// Sync boundary: mirror a failure (queued input is lost and counted
     /// as discards, exactly `Replica::kill`).
     pub fn on_kill(&mut self, i: usize, state: &SlotState) {
-        self.active_port[i] = u32::MAX;
-        self.clear_queues_as_discards(i);
-        self.eligible_from[i] = state.eligible_from();
+        self.on_deactivate(i, state);
     }
 
     /// Sync boundary: mirror a recovery (accumulator and head progress
@@ -320,18 +338,18 @@ impl HotArena {
         self.active_port[i] = u32::MAX;
         self.out_acc[i] = 0.0;
         let (p0, p1) = self.port_range(i);
-        for p in p0..p1 {
-            self.head_progress[p] = 0.0;
+        for port in &mut self.ports[p0..p1] {
+            port.head_progress = 0.0;
         }
         self.eligible_from[i] = state.eligible_from();
     }
 
     fn clear_queues_as_discards(&mut self, i: usize) {
         let (p0, p1) = self.port_range(i);
-        for p in p0..p1 {
-            self.idle_discards[i] += self.queues[p].len() as u64;
-            self.queues[p].clear();
-            self.head_progress[p] = 0.0;
+        for port in &mut self.ports[p0..p1] {
+            self.idle_discards[i] += port.queue.len() as u64;
+            port.queue.clear();
+            port.head_progress = 0.0;
         }
         self.queued[i] = 0;
     }
@@ -353,38 +371,40 @@ impl HotArena {
         metrics: &mut SimMetrics,
     ) {
         let (p0, p1) = self.port_range(i);
-        for p in p0..p1 {
-            ledger.queue_drops += self.drops[p];
-            ledger.port_residual += self.queues[p].len() as u64;
+        let ports = &self.ports[p0..p1];
+        for (port, drops) in ports.iter().zip(&self.drops[p0..p1]) {
+            ledger.queue_drops += drops;
+            ledger.port_residual += port.queue.len() as u64;
         }
         ledger.idle_discards += self.idle_discards[i];
         ledger.processed += self.processed[i];
         metrics.host_cpu_seconds[host] += self.cycles_used[i] / capacity;
         metrics
             .replica_port_processed
-            .push(self.port_processed[p0..p1].to_vec());
+            .push(ports.iter().map(|p| p.processed).collect());
         metrics.replica_emitted.push(self.emitted[i]);
         metrics.replica_cycles.push(self.cycles_used[i]);
     }
 
-    /// Resident bytes of the hot arena: array lengths plus the heap held
-    /// by port rings and output buffers. Deterministic for a given run.
+    /// Resident bytes of the hot arena: every array at its length plus the
+    /// heap held by port rings and output buffers. Deterministic for a
+    /// given run.
     pub fn bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let n = self.len();
-        let np = self.cost.len();
-        let mut b = n * (4 * size_of::<f64>() + 3 * size_of::<u32>() + 4 * size_of::<u64>())
-            + n * size_of::<Vec<f64>>()
-            + self.port_off.len() * size_of::<u32>()
-            + np * (3 * size_of::<f64>() + size_of::<u32>() + 2 * size_of::<u64>())
-            + np * size_of::<Ring>();
-        for q in &self.queues {
-            b += q.capacity_bytes();
+        fn of<T>(v: &[T]) -> usize {
+            std::mem::size_of_val(v)
         }
-        for ob in &self.out_births {
-            b += ob.capacity() * size_of::<f64>();
-        }
-        b as u64
+        let arrays = of(&self.eligible_from) + of(&self.queued) + of(&self.out_acc) + of(&self.rr);
+        let counters = of(&self.processed)
+            + of(&self.processed_snapshot)
+            + of(&self.emitted)
+            + of(&self.cycles_used)
+            + of(&self.idle_discards);
+        let ports = of(&self.port_off) + of(&self.ports) + of(&self.drops);
+        let cache = of(&self.active_port) + of(&self.head_need);
+        let rings: usize = self.ports.iter().map(|p| p.queue.capacity_bytes()).sum();
+        let outs: usize = self.out_births.iter().map(Vec::capacity).sum();
+        let outs = of(&self.out_births) + outs * std::mem::size_of::<f64>();
+        (arrays + counters + ports + cache + rings + outs) as u64
     }
 
     /// A mutable view over the whole arena (the single-chunk path's
@@ -394,9 +414,6 @@ impl HotArena {
             base: 0,
             pbase: 0,
             port_off: &self.port_off,
-            cost: &self.cost,
-            sel: &self.sel,
-            cap: &self.cap,
             eligible_from: &mut self.eligible_from,
             queued: &mut self.queued,
             out_acc: &mut self.out_acc,
@@ -407,10 +424,8 @@ impl HotArena {
             cycles_used: &mut self.cycles_used,
             idle_discards: &mut self.idle_discards,
             out_births: &mut self.out_births,
-            head_progress: &mut self.head_progress,
+            ports: &mut self.ports,
             drops: &mut self.drops,
-            port_processed: &mut self.port_processed,
-            queues: &mut self.queues,
             active_port: &mut self.active_port,
             head_need: &mut self.head_need,
         }
@@ -418,9 +433,8 @@ impl HotArena {
 
     /// Split the arena into disjoint mutable views over the given
     /// contiguous replica ranges (must be ascending and start at 0 — the
-    /// staged phases' host-range chunks). Per-port arrays split at the
-    /// matching `port_off` boundaries; the read-only cost/selectivity/
-    /// capacity tables are sliced alongside.
+    /// staged phases' host-range chunks). The port table splits at the
+    /// matching `port_off` boundaries.
     pub fn chunks(&mut self, bounds: &[(usize, usize)]) -> Vec<HotChunk<'_>> {
         let mut rest = self.full();
         bounds
@@ -457,13 +471,8 @@ pub struct HotChunk<'a> {
     idle_discards: &'a mut [u64],
     /// Output birth buffers (drained by the forwarding phase).
     pub out_births: &'a mut [Vec<f64>],
-    cost: &'a [f64],
-    sel: &'a [f64],
-    cap: &'a [u32],
-    head_progress: &'a mut [f64],
+    ports: &'a mut [Port],
     drops: &'a mut [u64],
-    port_processed: &'a mut [u64],
-    queues: &'a mut [Ring],
     active_port: &'a mut [u32],
     head_need: &'a mut [f64],
 }
@@ -480,20 +489,10 @@ impl<'a> HotChunk<'a> {
                 head
             }};
         }
-        macro_rules! take_shared {
-            ($f:ident) => {{
-                let (head, rest) = self.$f.split_at(np);
-                self.$f = rest;
-                head
-            }};
-        }
         let front = HotChunk {
             base: self.base,
             pbase: self.pbase,
             port_off: self.port_off,
-            cost: take_shared!(cost),
-            sel: take_shared!(sel),
-            cap: take_shared!(cap),
             eligible_from: take!(eligible_from, n),
             queued: take!(queued, n),
             out_acc: take!(out_acc, n),
@@ -504,10 +503,8 @@ impl<'a> HotChunk<'a> {
             cycles_used: take!(cycles_used, n),
             idle_discards: take!(idle_discards, n),
             out_births: take!(out_births, n),
-            head_progress: take!(head_progress, np),
+            ports: take!(ports, np),
             drops: take!(drops, np),
-            port_processed: take!(port_processed, np),
-            queues: take!(queues, np),
             active_port: take!(active_port, n),
             head_need: take!(head_need, n),
         };
@@ -539,37 +536,32 @@ impl<'a> HotChunk<'a> {
             return;
         }
         self.active_port[li] = u32::MAX;
-        let (p0, _) = self.local_ports(li);
-        let p = p0 + port;
-        let space = (self.cap[p] as usize).saturating_sub(self.queues[p].len());
+        let p = self.local_ports(li).0 + port;
+        let pt = &mut self.ports[p];
+        let space = (pt.cap as usize).saturating_sub(pt.queue.len());
         let accepted = births.len().min(space);
-        self.queues[p].push_slice(&births[..accepted]);
-        self.drops[p] += (births.len() - accepted) as u64;
+        pt.queue.push_slice(&births[..accepted]);
+        if accepted < births.len() {
+            self.drops[p] += (births.len() - accepted) as u64;
+        }
         self.queued[li] += accepted as u32;
     }
 
-    /// The port the next `process` call on `li` would draw from — the
-    /// first non-empty port scanning round-robin from the cursor — and
-    /// the cycles still needed to finish its head tuple. Returns the
-    /// `(usize::MAX, NEG_INFINITY)` sentinel when every port is empty,
-    /// which steers [`Self::water_fill`] onto the general `process` path
-    /// (where the call is a no-op, exactly as it always was).
+    /// Cache the port the next `process` call on `li` would draw from — the
+    /// first non-empty port scanning round-robin from the cursor — and the
+    /// cycles still needed to finish its head tuple. With every port empty
+    /// the cache stays stale, which steers [`Self::water_fill`] onto the
+    /// general `process` path (where the call is a no-op).
     #[inline]
-    fn scan_active_port(&self, li: usize) -> (usize, f64) {
+    fn refresh_active_port(&mut self, li: usize) {
         let (p0, p1) = self.local_ports(li);
-        let nports = p1 - p0;
-        let rr = self.rr[li] as usize;
-        for off in 0..nports {
-            let mut k = rr + off;
-            if k >= nports {
-                k -= nports;
-            }
-            let p = p0 + k;
-            if !self.queues[p].is_empty() {
-                return (p, (self.cost[p] - self.head_progress[p]).max(0.0));
-            }
+        let rr = p0 + self.rr[li] as usize;
+        let mut probe = (rr..p1).chain(p0..rr);
+        if let Some(p) = probe.find(|&p| !self.ports[p].queue.is_empty()) {
+            let pt = &self.ports[p];
+            self.active_port[li] = (self.pbase + p) as u32;
+            self.head_need[li] = (pt.cost - pt.head_progress).max(0.0);
         }
-        (usize::MAX, f64::NEG_INFINITY)
     }
 
     /// GPS water-filling over the local replicas `lo..hi` (one host) with
@@ -580,14 +572,14 @@ impl<'a> HotChunk<'a> {
     /// of drained replicas between rounds), but restructured for the
     /// saturated regime where almost every call is *partial progress*:
     /// each replica's active port and head-need are cached (persistently,
-    /// across quanta), so the common round step is a flat compare-add
-    /// over parallel arrays (`share < need` → `head_progress += share`)
-    /// instead of a per-call port scan through the round-robin cursor.
-    /// Every mutation that can move the active port — an offer, a
-    /// completion through [`Self::process`], a control transition —
-    /// invalidates the cache; the busy scan lazily re-derives only those
-    /// entries, which in a saturated steady state is a small fraction of
-    /// the busy set.
+    /// across quanta), so the common round step is a compare on two flat
+    /// arrays and an add on one port line (`share < need` →
+    /// `head_progress += share`) instead of a per-call port scan through
+    /// the round-robin cursor. Every mutation that can move the active
+    /// port — an offer, a completion through [`Self::process`], a control
+    /// transition — invalidates the cache; the busy scan lazily re-derives
+    /// only those entries, which in a saturated steady state is a small
+    /// fraction of the busy set.
     pub fn water_fill(
         &mut self,
         lo: usize,
@@ -600,11 +592,7 @@ impl<'a> HotChunk<'a> {
         for i in lo..hi {
             if self.eligible_from[i] <= t && self.queued[i] > 0 {
                 if self.active_port[i] == u32::MAX {
-                    let (p, n) = self.scan_active_port(i);
-                    if p != usize::MAX {
-                        self.active_port[i] = (self.pbase + p) as u32;
-                        self.head_need[i] = n;
-                    }
+                    self.refresh_active_port(i);
                 }
                 s.busy.push(i as u32);
             }
@@ -624,11 +612,11 @@ impl<'a> HotChunk<'a> {
                     // Partial progress: identical f64 ops to what
                     // `process` performs when the share doesn't cover
                     // the head tuple, minus the rediscovery work.
-                    let p = ap as usize - self.pbase;
-                    self.head_progress[p] += share;
+                    let pt = &mut self.ports[ap as usize - self.pbase];
+                    pt.head_progress += share;
                     self.cycles_used[i] += share;
                     remaining -= share;
-                    self.head_need[i] = (self.cost[p] - self.head_progress[p]).max(0.0);
+                    self.head_need[i] = (pt.cost - pt.head_progress).max(0.0);
                     progressed = true;
                 } else {
                     let used = self.process(i, share);
@@ -637,11 +625,7 @@ impl<'a> HotChunk<'a> {
                         progressed = true;
                     }
                     if self.queued[i] > 0 {
-                        let (p, n) = self.scan_active_port(i);
-                        if p != usize::MAX {
-                            self.active_port[i] = (self.pbase + p) as u32;
-                            self.head_need[i] = n;
-                        }
+                        self.refresh_active_port(i);
                     }
                 }
             }
@@ -679,14 +663,14 @@ impl<'a> HotChunk<'a> {
     }
 
     fn process_single(&mut self, li: usize, p: usize, budget: f64) -> f64 {
-        let cost = self.cost[p];
-        let sel = self.sel[p];
+        let pt = &mut self.ports[p];
+        let (cost, sel) = (pt.cost, pt.sel);
         let mut used = 0.0;
         let mut out_acc = self.out_acc[li];
         let mut done = 0u32;
         let mut emitted = 0u64;
-        let mut hp = self.head_progress[p];
-        let q = &mut self.queues[p];
+        let mut hp = pt.head_progress;
+        let q = &mut pt.queue;
         let births = &mut self.out_births[li];
         while used < budget {
             if q.is_empty() {
@@ -711,81 +695,74 @@ impl<'a> HotChunk<'a> {
                 break;
             }
         }
-        self.head_progress[p] = hp;
+        pt.head_progress = hp;
+        pt.processed += done as u64;
         self.out_acc[li] = out_acc;
         self.queued[li] -= done;
         self.processed[li] += done as u64;
-        self.port_processed[p] += done as u64;
         self.emitted[li] += emitted;
         self.cycles_used[li] += used;
         used
     }
 
     fn process_rr(&mut self, li: usize, p0: usize, p1: usize, budget: f64) -> f64 {
-        let nports = p1 - p0;
+        let ports = &mut self.ports[p0..p1];
+        let nports = ports.len();
         let mut used = 0.0;
         let mut rr = self.rr[li] as usize;
-        let mut done = 0u32;
+        assert!(
+            rr < nports,
+            "round-robin cursor outside the replica's ports"
+        );
+        let mut left = self.queued[li];
         let mut emitted = 0u64;
         let mut out_acc = self.out_acc[li];
-        let queues = &mut self.queues[p0..p1];
-        let cost = &self.cost[p0..p1];
-        let sel = &self.sel[p0..p1];
-        let hp = &mut self.head_progress[p0..p1];
-        let pp = &mut self.port_processed[p0..p1];
         let births = &mut self.out_births[li];
-        'outer: while used < budget {
-            // First non-empty port at or after the cursor; two linear
-            // scans instead of a wraparound branch per probe.
-            let mut found = usize::MAX;
-            for (i, q) in queues.iter().enumerate().skip(rr) {
-                if !q.is_empty() {
-                    found = i;
-                    break;
+        while used < budget && left > 0 {
+            // One cyclic probe from the cursor. `left > 0` of the tuples
+            // counted in `queued[li]` are still on these ports, so it stops
+            // at a non-empty one within `nports` steps.
+            let mut k = rr;
+            // SAFETY: `k` starts at `rr < nports` (asserted above; below,
+            // `rr` is only set to a wrapped `k + 1`) and wraps to 0 at
+            // `nports`, so it always indexes `ports`.
+            while unsafe { ports.get_unchecked(k) }.queue.is_empty() {
+                k += 1;
+                if k == nports {
+                    k = 0;
                 }
+                debug_assert!(k != rr, "queued[{li}] counts tuples no port holds");
             }
-            if found == usize::MAX {
-                for (i, q) in queues.iter().enumerate().take(rr) {
-                    if !q.is_empty() {
-                        found = i;
-                        break;
-                    }
+            // SAFETY: as above, `k < nports`.
+            let pt = unsafe { ports.get_unchecked_mut(k) };
+            let need = (pt.cost - pt.head_progress).max(0.0);
+            let avail = budget - used;
+            if avail >= need {
+                used += need;
+                pt.head_progress = 0.0;
+                let birth = pt.queue.pop_front();
+                left -= 1;
+                pt.processed += 1;
+                out_acc += pt.sel;
+                while out_acc >= 1.0 {
+                    births.push(birth);
+                    emitted += 1;
+                    out_acc -= 1.0;
                 }
-                if found == usize::MAX {
-                    break 'outer;
+                rr = k + 1;
+                if rr == nports {
+                    rr = 0;
                 }
-            }
-            // SAFETY: `found` comes from a scan over `queues`, and every
-            // per-port slice sliced above has the same `nports` length.
-            unsafe {
-                let need = (*cost.get_unchecked(found) - *hp.get_unchecked(found)).max(0.0);
-                let avail = budget - used;
-                if avail >= need {
-                    used += need;
-                    *hp.get_unchecked_mut(found) = 0.0;
-                    let birth = queues.get_unchecked_mut(found).pop_front();
-                    done += 1;
-                    *pp.get_unchecked_mut(found) += 1;
-                    out_acc += *sel.get_unchecked(found);
-                    while out_acc >= 1.0 {
-                        births.push(birth);
-                        emitted += 1;
-                        out_acc -= 1.0;
-                    }
-                    rr = found + 1;
-                    if rr == nports {
-                        rr = 0;
-                    }
-                } else {
-                    *hp.get_unchecked_mut(found) += avail;
-                    used = budget;
-                    break;
-                }
+            } else {
+                pt.head_progress += avail;
+                used = budget;
+                break;
             }
         }
+        let done = self.queued[li] - left;
         self.rr[li] = rr as u32;
         self.out_acc[li] = out_acc;
-        self.queued[li] -= done;
+        self.queued[li] = left;
         self.processed[li] += done as u64;
         self.emitted[li] += emitted;
         self.cycles_used[li] += used;
@@ -834,43 +811,60 @@ mod tests {
 
     #[test]
     fn hot_ops_match_cold_replica_bitwise() {
+        // One, two and four ports. Offers land on one port at a time, so on
+        // the four-port replica the cyclic probe of `process_rr` starts on
+        // an empty port, passes empty ports on both sides of the cursor and
+        // wraps; the odd budgets run out in the middle of a head tuple.
         let mut cold = cold_pair();
+        let four = [2.0, 3.0, 5.0, 1.0].map(|cost| InPort::new(cost, 0.75, 8));
+        cold.push(Replica::new(2, 0, 0, four.to_vec()));
         let mut hot = HotArena::from_cold(&cold);
         let births = [0.25, 0.5, 0.75, 1.0, 1.25];
-        {
-            let mut hc = hot.full();
+        for (port, budgets) in [
+            (0, [7.0, 13.0, 2.5]),
+            (2, [5.0, 7.5, 4.0]),
+            (1, [4.0, 9.0, 1.0]),
+        ] {
             for (i, r) in cold.iter_mut().enumerate() {
-                r.offer(0, &births, 1.0);
-                hc.offer(i, 0, &births, 1.0);
-            }
-            cold[1].offer(1, &births[..3], 1.0);
-            hc.offer(1, 1, &births[..3], 1.0);
-            for (i, r) in cold.iter_mut().enumerate() {
-                for budget in [7.0, 13.0, 100.0] {
-                    let a = r.process(budget);
-                    let b = hc.process(i, budget);
-                    assert_eq!(a.to_bits(), b.to_bits(), "replica {i} budget {budget}");
+                let port = port % r.ports.len();
+                r.offer(port, &births, 1.0);
+                hot.full().offer(i, port, &births, 1.0);
+                for budget in budgets {
+                    let (want, got) = (r.process(budget), hot.full().process(i, budget));
+                    assert_eq!(want.to_bits(), got.to_bits(), "replica {i} budget {budget}");
                 }
             }
+            assert_matches_cold(&hot, &cold);
         }
+        let (p0, p1) = hot.port_range(2);
+        let mid_tuple = hot.ports[p0..p1].iter().any(|p| p.head_progress > 0.0);
+        assert!(
+            hot.queued[2] > 0 && mid_tuple,
+            "the last budget ends mid-wrap"
+        );
+    }
+
+    /// Every data-plane field of `hot` equals its cold replica's, bitwise.
+    fn assert_matches_cold(hot: &HotArena, cold: &[Replica]) {
         for (i, r) in cold.iter().enumerate() {
             assert_eq!(hot.processed[i], r.processed);
             assert_eq!(hot.emitted[i], r.emitted);
             assert_eq!(hot.out_acc[i].to_bits(), r.out_acc.to_bits());
             assert_eq!(hot.cycles_used[i].to_bits(), r.cycles_used.to_bits());
             assert_eq!(hot.out_births[i], r.out_births);
-            let (p0, _) = hot.port_range(i);
-            for (pi, port) in r.ports.iter().enumerate() {
-                let qs: Vec<f64> = hot.queues[p0 + pi].iter().collect();
-                let cold_q: Vec<f64> = port.queue.iter().copied().collect();
-                assert_eq!(qs, cold_q, "replica {i} port {pi}");
-                assert_eq!(hot.drops[p0 + pi], port.drops);
-                assert_eq!(hot.port_processed[p0 + pi], port.processed);
-                assert_eq!(
-                    hot.head_progress[p0 + pi].to_bits(),
-                    port.head_progress.to_bits()
-                );
+            assert_eq!(hot.rr[i] as usize, r.rr_cursor());
+            let (p0, p1) = hot.port_range(i);
+            let hot_ports = hot.ports[p0..p1].iter().zip(&hot.drops[p0..p1]);
+            let mut queued = 0;
+            for (port, (hp, drops)) in r.ports.iter().zip(hot_ports) {
+                let qs: Vec<f64> = hp.queue.iter().collect();
+                assert_eq!(qs, Vec::from(port.queue.clone()), "replica {i}");
+                assert_eq!(*drops, port.drops);
+                assert_eq!(hp.processed, port.processed);
+                assert_eq!(hp.head_progress.to_bits(), port.head_progress.to_bits());
+                queued += qs.len() as u32;
             }
+            assert_eq!(hot.queued[i], queued);
         }
     }
 
@@ -959,8 +953,8 @@ mod tests {
         assert_eq!(views.len(), 2);
         assert_eq!(views[0].queued.len(), 2);
         assert_eq!(views[1].queued.len(), 2);
-        assert_eq!(views[0].queues.len(), 3);
-        assert_eq!(views[1].queues.len(), 1);
+        assert_eq!(views[0].ports.len(), 3);
+        assert_eq!(views[1].ports.len(), 1);
         drop(views);
         // A zero-port replica processes nothing and uses no cycles.
         {

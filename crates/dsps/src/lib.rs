@@ -31,7 +31,7 @@ pub mod trace;
 
 pub use laar_exec::{failure, replica};
 
-pub use arena::{HotArena, HotChunk, Ring};
+pub use arena::{HotArena, HotChunk, Port, Ring};
 pub use laar_exec::failure::{strategy_after_worst_case, FailurePlan};
 pub use laar_exec::replica::{InPort, Replica};
 pub use laar_exec::ReplicaStatus;

@@ -244,6 +244,14 @@ pub struct Simulation {
     /// counted as swap downtime.
     swap_degraded: bool,
     plan: FailurePlan,
+    /// The failure plan is consulted at the first quantum with
+    /// `t >= failures_due`: the start of the run, then each
+    /// [`FailurePlan::next_transition`].
+    failures_due: f64,
+    /// Without a slot transition, primaries are re-elected at the first
+    /// quantum with `t >= elect_due` ([`Self::next_protocol_expiry`] as of
+    /// the last election).
+    elect_due: f64,
     /// Tuples handed to replicas (offers are synchronous: every offer is a
     /// successful push in the conservation ledger's sense).
     pushed: u64,
@@ -424,6 +432,8 @@ impl Simulation {
             adapt,
             swap_degraded: false,
             plan,
+            failures_due: f64::NEG_INFINITY,
+            elect_due: f64::NEG_INFINITY,
             pushed: 0,
             metrics,
         };
@@ -498,9 +508,9 @@ impl Simulation {
 
     /// The quantum loop. Per executed quantum:
     ///
-    /// 1. control plane: failures, due commands, election, monitor poll,
-    ///    adaptation check — cold protocol state, mirrored into the hot
-    ///    arena ([`Self::control_plane`]);
+    /// 1. control plane: failures and election when due, due commands,
+    ///    monitor poll, adaptation check — cold protocol state, mirrored
+    ///    into the hot arena ([`Self::control_plane`]);
     /// 2. emission bookkeeping: per-source arrival buffers, rate samples,
     ///    the `pushed` ledger term, in source order;
     /// 3. data-plane phase 1: source offers, then GPS water-filling per
@@ -810,9 +820,20 @@ impl Simulation {
     /// proxy protocol against the cold arena. Every slot transition is
     /// mirrored into the hot arena here — the only place hot and cold
     /// state meet between construction and finalize.
+    ///
+    /// The two walks over every slot run only when due, because in between
+    /// they are fixed points: the plan's dead-set is constant up to its
+    /// next transition and nothing else changes a slot's liveness, and an
+    /// election changes outcome only after a slot transition or once a
+    /// sync window or detection blackout has run out.
     fn control_plane(&mut self, t: f64, hot: &mut HotArena) {
-        self.apply_failures(t, hot);
+        let mut transitioned = false;
+        if t >= self.failures_due {
+            transitioned = self.apply_failures(t, hot);
+            self.failures_due = self.plan.next_transition(t).unwrap_or(f64::INFINITY);
+        }
         for cmd in self.control.take_due(t) {
+            transitioned = true;
             self.metrics.commands_applied += 1;
             let mut view = ArenaSlots {
                 arena: &mut self.replicas,
@@ -828,13 +849,16 @@ impl Simulation {
                 Command::Deactivate(_) => hot.on_deactivate(idx, &state),
             }
         }
-        self.proxy.elect(
-            &ArenaSlots {
-                arena: &mut self.replicas,
-                slot_of: &self.slot_of,
-            },
-            t,
-        );
+        if transitioned || t >= self.elect_due {
+            self.proxy.elect(
+                &ArenaSlots {
+                    arena: &mut self.replicas,
+                    slot_of: &self.slot_of,
+                },
+                t,
+            );
+            self.elect_due = self.next_protocol_expiry(t, hot).unwrap_or(f64::INFINITY);
+        }
         self.control.poll(t);
         if let Some(ad) = self.adapt.as_mut() {
             if ad.due(t) {
@@ -860,14 +884,16 @@ impl Simulation {
     /// proxy protocol, mirroring each into the hot arena right after the
     /// cold transition. Detection is delayed: the proxy blocks re-election
     /// of a failed primary's PE until `t + detection_delay`. Slots are
-    /// visited in dense PE-major order.
-    fn apply_failures(&mut self, t: f64, hot: &mut HotArena) {
+    /// visited in dense PE-major order. Returns whether any slot changed.
+    fn apply_failures(&mut self, t: f64, hot: &mut HotArena) -> bool {
+        let mut transitioned = false;
         for s in 0..self.slot_of.len() {
             let i = self.slot_of[s];
             let (pe, r) = (self.replicas[i].pe_dense, self.replicas[i].replica);
             let dead = self.plan.is_dead_on(self.replicas[i].host, pe, r, t);
             // Act only when the plan and the slot's liveness disagree.
             if dead == self.replicas[i].state.alive {
+                transitioned = true;
                 let mut view = ArenaSlots {
                     arena: &mut self.replicas,
                     slot_of: &self.slot_of,
@@ -883,6 +909,18 @@ impl Simulation {
                 }
             }
         }
+        transitioned
+    }
+
+    /// The earliest instant strictly after `t` at which an election changes
+    /// outcome by itself: the end of a pending sync window — read off
+    /// `eligible_from`, where a finite sentinel beyond `t` is exactly that
+    /// (dead or idle replicas sit at +inf, running ones at -inf) — or of a
+    /// detection blackout.
+    fn next_protocol_expiry(&self, t: f64, hot: &HotArena) -> Option<f64> {
+        let sync_ends = hot.eligible_from.iter().copied();
+        let pending = sync_ends.filter(|&ef| ef > t && ef.is_finite());
+        pending.chain(self.proxy.next_unblock(t)).reduce(f64::min)
     }
 
     /// Attribute logical work to the current primaries, then re-arm the
@@ -902,24 +940,16 @@ impl Simulation {
     /// water-filling continues at full resolution). Otherwise virtual time
     /// jumps toward the next-event horizon: the earliest of the next source
     /// arrival, due command, monitor poll, adaptation check, failure-plan
-    /// transition, detection-blackout expiry, and sync-window expiry — the
-    /// last read off `eligible_from`, where a finite sentinel strictly
-    /// beyond `t` is exactly a pending sync window (dead or idle replicas
-    /// sit at +inf, running ones at -inf). The landing quantum is
-    /// deliberately one early — executing an extra quiescent quantum is a
-    /// provable no-op, while skipping a live one would change the run — so
-    /// grid rounding can never overshoot the quantum in which an event
-    /// first takes effect.
+    /// transition and protocol expiry ([`Self::next_protocol_expiry`]). The
+    /// landing quantum is deliberately one early — executing an extra
+    /// quiescent quantum is a provable no-op, while skipping a live one
+    /// would change the run — so grid rounding can never overshoot the
+    /// quantum in which an event first takes effect.
     fn next_step(&self, step: u64, dt: f64, hot: &HotArena) -> u64 {
         if hot.has_any_work() {
             return step + 1;
         }
         let t = step as f64 * dt;
-        let sync_expiries = hot
-            .eligible_from
-            .iter()
-            .filter(|&&ef| ef > t && ef.is_finite())
-            .map(|&ef| Some(ef));
         let horizon = self
             .emitters
             .iter()
@@ -929,9 +959,8 @@ impl Simulation {
                 self.control.next_poll(),
                 self.adapt.as_ref().map(AdaptiveController::next_check),
                 self.plan.next_transition(t),
-                self.proxy.next_unblock(t),
+                self.next_protocol_expiry(t, hot),
             ])
-            .chain(sync_expiries)
             .flatten()
             .fold(f64::INFINITY, f64::min);
         if horizon.is_infinite() {

@@ -9,7 +9,9 @@
 //!   counts, latency histogram, utilization samples, conservation ledger;
 //! * **a golden digest**: a 64-bit FNV-1a over every `SimMetrics` field,
 //!   recorded from the deleted array-of-structs engine (see [`digest`]),
-//!   so whole-run agreement with that engine outlives it;
+//!   so whole-run agreement with that engine outlives it (one, the
+//!   off-grid crash, from the last engine that consulted the failure plan
+//!   and re-elected every quantum);
 //! * a balanced conservation ledger.
 //!
 //! Thread counts {1, 2} are always exercised; set `LAAR_EQ_THREADS=N` to
@@ -459,6 +461,42 @@ fn scaled_1k_pe_host_crash() {
 }
 
 const GOLDEN_1K_PE_CRASH: u64 = 0x93a1_16c2_ecd1_59f7;
+
+#[test]
+fn off_grid_crash_inside_a_sync_window() {
+    // The control-plane gate's hard case: with a 1 s sync delay the
+    // High → Low switch re-activates pe0/r1 and pe1/r0 at 42.05 s, and
+    // host 0 (pe0/r0, the sitting primary, and pe1/r0, still syncing)
+    // crashes and recovers inside that window, at instants off the 10 ms
+    // quantum grid. The failure plan must be consulted at exactly the first
+    // quantum past each instant, and pe0 re-elected at exactly the end of
+    // r1's window (43.05 s, after the detection blackout) — no earlier
+    // quantum elects, no later one is needed.
+    let p = fig2_problem(0.6);
+    let trace = InputTrace::low_high_centered(4.0, 8.0, 60.0, 1.0 / 3.0);
+    let m = assert_equivalent(
+        &p.app,
+        &p.placement,
+        &fig2_strategy_laar(),
+        &trace,
+        &FailurePlan::HostCrash {
+            host: HostId(0),
+            at: 42.3137,
+            duration: 0.4771,
+        },
+        &SimConfig {
+            sync_delay: 1.0,
+            ..SimConfig::default()
+        },
+        GOLDEN_OFF_GRID_CRASH,
+    );
+    assert_eq!(m.failovers, 1, "pe0 fails over to r1 once");
+    assert_eq!(m.commands_applied, 8, "initial, Low, High, Low: two each");
+}
+
+/// Recorded at commit ce99718, the last one whose control plane consulted
+/// the failure plan and re-elected every quantum.
+const GOLDEN_OFF_GRID_CRASH: u64 = 0xa18c_12f7_0013_881f;
 
 /// Deterministic strategy sampler mirroring `tests/proptest_sim.rs`.
 fn random_strategy(np: usize, nq: usize, seed: u64) -> ActivationStrategy {

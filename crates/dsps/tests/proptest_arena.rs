@@ -3,8 +3,10 @@
 //! (kill/recover), offers, and processing, the [`HotArena`] mirrored at
 //! the sync boundary never diverges from the legacy [`Replica`] hot path
 //! — every counter, queue, accumulator, and round-robin cursor stays
-//! bit-identical, and the `eligible_from` sentinel always encodes exactly
-//! the cold [`SlotState`]'s eligibility.
+//! bit-identical, the `eligible_from` sentinel always encodes exactly
+//! the cold [`SlotState`]'s eligibility, and `queued[i]` always equals the
+//! tuples on replica `i`'s port queues (what lets the multi-port tuple
+//! loop probe cyclically for a non-empty port without a stop condition).
 //!
 //! Two sides run the same op sequence:
 //! * **legacy**: protocol transitions and data ops both applied to a
@@ -62,17 +64,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // steady trickle of commands, failures, and time advancement.
     (
         0usize..14,
-        0usize..6,
+        0usize..8,
+        0usize..12,
         0usize..6,
         0.0f64..30.0,
         any::<bool>(),
     )
-        .prop_map(|(kind, slot, n, budget, sync)| match kind {
-            0..=3 => Op::Offer {
-                slot,
-                port: n % 2,
-                n,
-            },
+        .prop_map(|(kind, slot, port, n, budget, sync)| match kind {
+            0..=3 => Op::Offer { slot, port, n },
             4..=7 => Op::Process { slot, budget },
             8 => Op::Activate { slot, sync },
             9 => Op::Deactivate { slot },
@@ -82,9 +81,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         })
 }
 
-/// 3 PEs × k=2 across two hosts, with mixed port shapes (including a
-/// fan-in PE) and small queue capacities so overflow drops happen.
+/// 4 PEs × k=2 across two hosts, with mixed port shapes (a two-port and a
+/// four-port fan-in PE) and small queue capacities so overflow drops
+/// happen. Offers land on one port at a time, so the four-port replicas
+/// spend most steps with empty ports on both sides of the round-robin
+/// cursor, and budgets of a few tuples end in the middle of a wrap.
 fn fixture() -> Vec<Replica> {
+    let fan_in = || {
+        vec![
+            InPort::new(1.5, 0.7, 4),
+            InPort::new(2.5, 1.2, 3),
+            InPort::new(0.0, 1.0, 5),
+            InPort::new(6.0, 0.4, 2),
+        ]
+    };
     vec![
         Replica::new(0, 0, 0, vec![InPort::new(4.0, 1.0, 4)]),
         Replica::new(0, 1, 1, vec![InPort::new(4.0, 1.0, 4)]),
@@ -102,6 +112,8 @@ fn fixture() -> Vec<Replica> {
         ),
         Replica::new(2, 0, 1, vec![InPort::new(7.0, 0.8, 5)]),
         Replica::new(2, 1, 0, vec![InPort::new(7.0, 0.8, 5)]),
+        Replica::new(3, 0, 0, fan_in()),
+        Replica::new(3, 1, 1, fan_in()),
     ]
 }
 
@@ -139,7 +151,8 @@ fn assert_in_lockstep(hot: &HotArena, hot_cold: &[Replica], legacy: &[Replica], 
         let (p0, _) = hot.port_range(i);
         let mut queued = 0u32;
         for (pi, port) in l.ports.iter().enumerate() {
-            let hot_q: Vec<f64> = hot.queues[p0 + pi].iter().collect();
+            let hot_port = &hot.ports[p0 + pi];
+            let hot_q: Vec<f64> = hot_port.queue.iter().collect();
             let cold_q: Vec<f64> = port.queue.iter().copied().collect();
             assert_eq!(hot_q, cold_q, "{ctx}: slot {i} port {pi} queue");
             assert_eq!(
@@ -148,17 +161,17 @@ fn assert_in_lockstep(hot: &HotArena, hot_cold: &[Replica], legacy: &[Replica], 
                 "{ctx}: slot {i} port {pi} drops"
             );
             assert_eq!(
-                hot.port_processed[p0 + pi],
-                port.processed,
+                hot_port.processed, port.processed,
                 "{ctx}: slot {i} port {pi} processed"
             );
             assert_eq!(
-                hot.head_progress[p0 + pi].to_bits(),
+                hot_port.head_progress.to_bits(),
                 port.head_progress.to_bits(),
                 "{ctx}: slot {i} port {pi} head_progress"
             );
-            queued += port.queue.len() as u32;
+            queued += hot_port.queue.len() as u32;
         }
+        // The invariant `process_rr`'s probe terminates on.
         assert_eq!(hot.queued[i], queued, "{ctx}: slot {i} queued counter");
     }
     assert_eq!(
@@ -224,6 +237,16 @@ proptest! {
             assert_in_lockstep(&hot, &hot_cold, &legacy, &format!("step {step} ({op:?})"));
         }
     }
+}
+
+/// `queued[i]` and the ring indices are `u32`: a port, or a replica's ports
+/// together, that could hold more is refused when the arena is built — in
+/// release builds too — instead of wrapping a counter later.
+#[test]
+#[should_panic(expected = "(pe 3, port 1, capacity 2147483648)")]
+fn from_cold_refuses_capacities_past_the_u32_counters() {
+    let half = InPort::new(1.0, 1.0, 1 << 31);
+    HotArena::from_cold(&[Replica::new(3, 0, 0, vec![half.clone(), half])]);
 }
 
 /// GPS water-filling written the obvious way over [`Replica`]s: every

@@ -16,10 +16,17 @@
 //!   controller (Activate only to inactive slots, Deactivate only to active
 //!   ones) and the resulting status is exactly the expected one;
 //! * the conservation ledger balances exactly under every interleaving.
+//!
+//! Two further properties are what lets the simulator consult the failure
+//! plan and re-elect only when due instead of every quantum:
+//! [`FailurePlan::is_dead_on`] is constant on `[t, next_transition(t))`,
+//! and [`SlotState::eligible`] flips by itself only at
+//! [`SlotState::next_transition`].
 
 use laar_core::controller::{Command, ReplicaSlot};
 use laar_exec::replica::{InPort, Replica};
-use laar_exec::{Conservation, ProxyState, ReplicaStatus, SlotState};
+use laar_exec::{Conservation, FailurePlan, ProxyState, ReplicaStatus, SlotState};
+use laar_model::HostId;
 use proptest::prelude::*;
 
 const NUM_PES: usize = 2;
@@ -57,6 +64,15 @@ fn slot(pe: usize, r: usize) -> ReplicaSlot {
         pe_dense: pe,
         replica: r,
     }
+}
+
+/// Two instants of `[t, end)` (`end` defaulting to `t + 100`): `frac` of the
+/// way through it, and the last `f64` before `end`.
+fn probes_before(t: f64, end: Option<f64>, frac: f64) -> impl Iterator<Item = f64> {
+    let stop = end.unwrap_or(t + 100.0);
+    let last = f64::from_bits(stop.to_bits() - 1);
+    let inside = (t + frac * (stop - t)).min(last);
+    [inside, last].into_iter().filter(move |&probe| probe >= t)
 }
 
 proptest! {
@@ -239,5 +255,59 @@ proptest! {
         let (trail_b, failovers_b) = run(&script);
         prop_assert_eq!(trail_a, trail_b);
         prop_assert_eq!(failovers_a, failovers_b);
+    }
+
+    #[test]
+    fn failure_plan_is_constant_up_to_its_next_transition(
+        kind in 0usize..3,
+        at in 0.0f64..50.0,
+        duration in 0.001f64..30.0,
+        t in 0.0f64..100.0,
+        frac in 0.0f64..1.0,
+    ) {
+        // Off-grid crash and recovery instants; two hosts, replica r on host r.
+        let plan = match kind {
+            0 => FailurePlan::None,
+            1 => FailurePlan::WorstCase { crashed: vec![0, 1] },
+            _ => FailurePlan::HostCrash { host: HostId(1), at, duration },
+        };
+        let dead_set = |t: f64| -> Vec<bool> {
+            (0..NUM_PES * K).map(|i| plan.is_dead_on(i % K, i / K, i % K, t)).collect()
+        };
+        let end = plan.next_transition(t);
+        prop_assert!(end.is_none_or(|e| e > t), "transition {end:?} not after {t}");
+        for probe in probes_before(t, end, frac) {
+            prop_assert!(
+                dead_set(probe) == dead_set(t),
+                "dead-set changes at {probe}, inside [{t}, {end:?})"
+            );
+        }
+        // A transition the plan announces is one: the dead-set changes there.
+        if let Some(e) = end {
+            prop_assert!(dead_set(e) != dead_set(t), "nothing changes at {e}");
+        }
+    }
+
+    #[test]
+    fn eligibility_flips_only_at_the_slot_next_transition(
+        alive in any::<bool>(),
+        active in any::<bool>(),
+        sync_until in (any::<bool>(), -5.0f64..50.0),
+        now in 0.0f64..50.0,
+        frac in 0.0f64..1.0,
+    ) {
+        let state = SlotState { alive, active, sync_until: sync_until.0.then_some(sync_until.1) };
+        let end = state.next_transition(now);
+        for probe in probes_before(now, end, frac) {
+            prop_assert_eq!(state.eligible(probe), state.eligible(now));
+            // The hot arena's sentinel says the same.
+            prop_assert_eq!(state.eligible_from() <= probe, state.eligible(probe));
+        }
+        // A pending sync window is the only self-transition: ineligible
+        // before its end, eligible from it on.
+        if let Some(e) = end {
+            prop_assert!(!state.eligible(now) && state.eligible(e));
+            prop_assert_eq!(state.eligible_from(), e);
+        }
     }
 }
