@@ -3,8 +3,8 @@
 
 use laar_adapt::{AdaptConfig, AdaptReport};
 use laar_cli::{
-    cmd_bench_adapt, cmd_bench_runtime, cmd_bench_sim, cmd_bench_solver, cmd_generate, cmd_profile,
-    cmd_run_live, cmd_simulate, cmd_solve, cmd_variants, parse_failure, CliError,
+    cmd_generate, cmd_profile, cmd_run_live, cmd_simulate, cmd_solve, cmd_variants, parse_failure,
+    CliError,
 };
 use laar_dsps::InputTrace;
 use laar_model::{ActivationStrategy, Application, Placement};
@@ -21,14 +21,6 @@ USAGE:
   laar run-live --contract F --placement F --strategy F --trace F [--failure ...] [--speed X] [--adapt --ic X] [--metrics OUT]
   laar variants --contract F --placement F --trace F [--time-limit SECS]
   laar profile  --contract F --placement F [--probes N]
-  laar bench-sim [--iters N] [--threads N,M,..] [--baseline F] [--test]
-                 [--out BENCH_sim.json]
-  laar bench-solver [--instances N] [--seed N] [--ic X] [--threads N]
-                    [--time-limit SECS] [--modes sequential,parallel,cp,portfolio]
-                    [--large] [--baseline F] [--test] [--out BENCH_solver.json]
-  laar bench-runtime [--scales X,Y,..] [--baseline F] [--test]
-                     [--out BENCH_runtime.json]
-  laar bench-adapt [--test] [--out BENCH_adapt.json]
 
 Artifacts are JSON: the contract (application graph + descriptor + billing
 period), the replicated placement, the input trace, the HAController
@@ -92,6 +84,18 @@ fn parse_adapt(flags: &HashMap<String, String>) -> Result<Option<AdaptConfig>, C
     Ok(Some(AdaptConfig::new(ic)))
 }
 
+/// `--time-limit SECS` → the FT-Search wall-clock limit (10 s without the
+/// flag). Negative, non-finite and overflowing values are errors, not the
+/// panic `Duration::from_secs_f64` answers them with.
+fn parse_time_limit(flags: &HashMap<String, String>) -> Result<Duration, CliError> {
+    let Some(v) = flags.get("time-limit") else {
+        return Ok(Duration::from_secs(10));
+    };
+    let bad = |e: &dyn std::fmt::Display| CliError::Message(format!("bad --time-limit {v}: {e}"));
+    let secs: f64 = v.parse().map_err(|e| bad(&e))?;
+    Duration::try_from_secs_f64(secs).map_err(|e| bad(&e))
+}
+
 /// One summary line of an adaptation report.
 fn print_adapt_report(r: &AdaptReport) {
     println!(
@@ -120,12 +124,7 @@ fn run() -> Result<(), CliError> {
         std::process::exit(2);
     };
     let flags = parse_flags(&argv[1..])?;
-    let time_limit = flags
-        .get("time-limit")
-        .map(|v| v.parse::<f64>().map(Duration::from_secs_f64))
-        .transpose()
-        .map_err(|e| CliError::Message(format!("bad --time-limit: {e}")))?
-        .unwrap_or(Duration::from_secs(10));
+    let time_limit = parse_time_limit(&flags)?;
 
     match cmd.as_str() {
         "generate" => {
@@ -193,7 +192,7 @@ fn run() -> Result<(), CliError> {
             let strategy = ActivationStrategy::from_controller_json(app.graph(), &doc)
                 .map_err(|e| CliError::Message(e.to_string()))?;
             let failure = flags.get("failure").map(String::as_str).unwrap_or("none");
-            let plan = parse_failure(failure, &app, &strategy)?;
+            let plan = parse_failure(failure, &app, &placement, &strategy)?;
             let threads: usize = flags
                 .get("threads")
                 .map(|v| v.parse())
@@ -230,7 +229,7 @@ fn run() -> Result<(), CliError> {
             let strategy = ActivationStrategy::from_controller_json(app.graph(), &doc)
                 .map_err(|e| CliError::Message(e.to_string()))?;
             let failure = flags.get("failure").map(String::as_str).unwrap_or("none");
-            let plan = parse_failure(failure, &app, &strategy)?;
+            let plan = parse_failure(failure, &app, &placement, &strategy)?;
             let speed: f64 = flags
                 .get("speed")
                 .map(|v| v.parse())
@@ -304,286 +303,6 @@ fn run() -> Result<(), CliError> {
                 );
             }
         }
-        "bench-sim" => {
-            let smoke = flags.get("test").map(String::as_str) == Some("true");
-            let iters: u32 = flags
-                .get("iters")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|e| CliError::Message(format!("bad --iters: {e}")))?
-                .unwrap_or(if smoke { 1 } else { 3 });
-            let threads: Vec<usize> = match flags.get("threads") {
-                Some(list) => list
-                    .split(',')
-                    .map(|v| {
-                        v.trim().parse().map_err(|e| {
-                            CliError::Message(format!("bad --threads entry {v:?}: {e}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                None if smoke => vec![1],
-                None => vec![1, 2, 4],
-            };
-            let baseline: Vec<laar_cli::BenchSimBaselineRow> = match flags.get("baseline") {
-                Some(path) => {
-                    let data = std::fs::read_to_string(path).map_err(|e| {
-                        CliError::Message(format!("cannot read --baseline {path}: {e}"))
-                    })?;
-                    serde_json::from_str(&data).map_err(|e| {
-                        CliError::Message(format!("cannot parse --baseline {path}: {e}"))
-                    })?
-                }
-                None => Vec::new(),
-            };
-            let rows = cmd_bench_sim(iters, &threads, smoke, &baseline)?;
-            println!(
-                "{:<36} {:>4} {:>10} {:>12} {:>8} {:>9} {:>9}",
-                "fixture", "thr", "wall (s)", "quanta/s", "vs 1thr", "B/PE", "vs prePR"
-            );
-            for r in &rows {
-                println!(
-                    "{:<36} {:>3}{} {:>10.3} {:>12.0} {:>7.2}x {:>9.0} {}",
-                    r.name,
-                    r.threads,
-                    if r.oversubscribed { "*" } else { " " },
-                    r.event_driven_wall_secs,
-                    r.event_driven_quanta_per_sec,
-                    r.speedup_vs_single_thread,
-                    r.bytes_per_pe,
-                    if r.speedup_vs_pre_pr > 0.0 {
-                        format!("{:>8.2}x", r.speedup_vs_pre_pr)
-                    } else {
-                        format!("{:>9}", "-")
-                    },
-                );
-            }
-            if rows.iter().any(|r| r.oversubscribed) {
-                println!(
-                    "  * threads exceed this machine's {} hardware thread(s): the row \
-                     measures oversubscription, not parallel speedup",
-                    rows[0].host_cores
-                );
-            }
-            let out = flags
-                .get("out")
-                .map(String::as_str)
-                .unwrap_or("BENCH_sim.json");
-            write_json(out, &rows)?;
-            println!("simulator throughput report written to {out}");
-        }
-        "bench-solver" => {
-            let parse_usize = |key: &str, default: usize| -> Result<usize, CliError> {
-                flags
-                    .get(key)
-                    .map(|v| v.parse())
-                    .transpose()
-                    .map_err(|e| CliError::Message(format!("bad --{key}: {e}")))
-                    .map(|v| v.unwrap_or(default))
-            };
-            let instances = parse_usize("instances", 8)?;
-            let threads = parse_usize("threads", 4)?;
-            let seed: u64 = flags
-                .get("seed")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|e| CliError::Message(format!("bad --seed: {e}")))?
-                .unwrap_or(0xF7_5EA7C4);
-            let ic: f64 = flags
-                .get("ic")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|e| CliError::Message(format!("bad --ic: {e}")))?
-                .unwrap_or(0.7);
-            let limit = flags
-                .get("time-limit")
-                .map(|v| v.parse::<f64>().map(Duration::from_secs_f64))
-                .transpose()
-                .map_err(|e| CliError::Message(format!("bad --time-limit: {e}")))?
-                .unwrap_or(Duration::from_secs(30));
-            let smoke = flags.get("test").map(String::as_str) == Some("true");
-            let large = flags.get("large").map(String::as_str) == Some("true");
-            let modes: Vec<laar_cli::SolverBenchMode> = match flags.get("modes") {
-                Some(list) => list
-                    .split(',')
-                    .map(|v| {
-                        laar_cli::SolverBenchMode::parse(v.trim()).ok_or_else(|| {
-                            CliError::Message(format!(
-                                "bad --modes entry {v:?}: expected sequential|parallel|cp|portfolio"
-                            ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => laar_cli::SolverBenchMode::ALL.to_vec(),
-            };
-            let baseline: Vec<laar_cli::SolverBenchBaselineRow> = match flags.get("baseline") {
-                Some(path) => {
-                    let data = std::fs::read_to_string(path).map_err(|e| {
-                        CliError::Message(format!("cannot read --baseline {path}: {e}"))
-                    })?;
-                    serde_json::from_str(&data).map_err(|e| {
-                        CliError::Message(format!("cannot parse --baseline {path}: {e}"))
-                    })?
-                }
-                None => Vec::new(),
-            };
-            // CI smoke: a couple of easy instances, tight limit, the two
-            // headline engines — exercises the full path in seconds.
-            let (instances, limit, modes) = if smoke {
-                (
-                    instances.min(3),
-                    limit.min(Duration::from_secs(2)),
-                    vec![
-                        laar_cli::SolverBenchMode::Sequential,
-                        laar_cli::SolverBenchMode::Cp,
-                    ],
-                )
-            } else {
-                (instances, limit, modes)
-            };
-            let rows = cmd_bench_solver(
-                instances, seed, ic, limit, threads, &modes, large, &baseline,
-            )?;
-            println!(
-                "{:<8} {:>6} {:>4} {:<10} {:>3} {:>5} {:>12} {:>10} {:>10} {:>10} {:>12} {:>8}",
-                "inst",
-                "hosts",
-                "pph",
-                "mode",
-                "thr",
-                "label",
-                "nodes",
-                "first(ms)",
-                "best(ms)",
-                "wall(ms)",
-                "cost",
-                "vs-pre"
-            );
-            for r in &rows {
-                let opt = |v: Option<f64>| v.map_or("-".to_owned(), |x| format!("{x:.1}"));
-                let speedup = if r.speedup_vs_pre_pr > 0.0 {
-                    format!("{:.1}x", r.speedup_vs_pre_pr)
-                } else {
-                    "-".to_owned()
-                };
-                println!(
-                    "{:<8} {:>6} {:>4} {:<10} {:>3} {:>5} {:>12} {:>10} {:>10} {:>10.1} {:>12} {:>8}",
-                    r.instance,
-                    r.num_hosts,
-                    r.pes_per_host,
-                    r.mode,
-                    r.threads,
-                    r.label,
-                    r.nodes,
-                    opt(r.time_to_first_ms),
-                    opt(r.time_to_best_ms),
-                    r.elapsed_ms,
-                    opt(r.best_cost),
-                    speedup,
-                );
-            }
-            let out = flags
-                .get("out")
-                .map(String::as_str)
-                .unwrap_or("BENCH_solver.json");
-            write_json(out, &rows)?;
-            println!("solver benchmark report written to {out}");
-        }
-        "bench-runtime" => {
-            let smoke = flags.get("test").map(String::as_str) == Some("true");
-            let scales: Vec<f64> = match flags.get("scales") {
-                Some(list) => list
-                    .split(',')
-                    .map(|v| {
-                        v.trim().parse().map_err(|e| {
-                            CliError::Message(format!("bad --scales entry {v:?}: {e}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-                None if smoke => vec![100.0],
-                None => vec![200.0, 2000.0, 8000.0, 20000.0, 40000.0],
-            };
-            let baseline: Vec<laar_cli::BaselineRow> = match flags.get("baseline") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path).map_err(|e| {
-                        CliError::Message(format!("cannot read --baseline {path}: {e}"))
-                    })?;
-                    serde_json::from_str(&text).map_err(|e| {
-                        CliError::Message(format!("cannot parse --baseline {path}: {e}"))
-                    })?
-                }
-                None => Vec::new(),
-            };
-            let rows = cmd_bench_runtime(&scales, smoke, &baseline)?;
-            println!(
-                "{:<28} {:>8} {:>11} {:>8} {:>9} {:>9} {:>11} {:>8}",
-                "fixture",
-                "scale",
-                "tuples/s",
-                "sim Δ",
-                "wakeups",
-                "cpu (s)",
-                "pre-PR t/s",
-                "vs pre"
-            );
-            for r in &rows {
-                println!(
-                    "{:<28} {:>8.0} {:>11.0} {:>7.2}% {:>9} {:>9.2} {:>11.0} {:>7.2}x",
-                    r.name,
-                    r.time_scale,
-                    r.batched_tuples_per_sec,
-                    100.0 * r.batched_sim_delta,
-                    r.batched_loop_passes,
-                    r.batched_cpu_secs,
-                    r.pre_pr_tuples_per_sec,
-                    r.speedup_vs_pre_pr,
-                );
-            }
-            let out = flags
-                .get("out")
-                .map(String::as_str)
-                .unwrap_or("BENCH_runtime.json");
-            write_json(out, &rows)?;
-            println!("runtime data-plane report written to {out}");
-        }
-        "bench-adapt" => {
-            let smoke = flags.get("test").map(String::as_str) == Some("true");
-            let rows = cmd_bench_adapt(smoke)?;
-            println!(
-                "{:<24} {:>9} {:>8} {:>10} {:>9} {:>6} {:>9} {:>11} {:>11} {:>8}",
-                "fixture",
-                "detect(s)",
-                "swap(s)",
-                "replan(ms)",
-                "nodes",
-                "swaps",
-                "down(q/t)",
-                "stale drops",
-                "adapt drops",
-                "live Δ"
-            );
-            for r in &rows {
-                println!(
-                    "{:<24} {:>9.1} {:>8.1} {:>10.1} {:>9} {:>6} {:>5}/{:<3} {:>11} {:>11} {:>7.2}%",
-                    r.name,
-                    r.time_to_detect_secs,
-                    r.swap_at,
-                    r.replan_wall_ms,
-                    r.replan_nodes,
-                    r.swaps,
-                    r.swap_downtime_quanta,
-                    r.swap_downtime_tuples,
-                    r.stale_drops,
-                    r.adapted_drops,
-                    100.0 * r.live_sim_delta,
-                );
-            }
-            let out = flags
-                .get("out")
-                .map(String::as_str)
-                .unwrap_or("BENCH_adapt.json");
-            write_json(out, &rows)?;
-            println!("adaptation loop report written to {out}");
-        }
         "help" | "--help" | "-h" => println!("{USAGE}"),
         other => {
             eprintln!("unknown command {other:?}\n\n{USAGE}");
@@ -597,5 +316,28 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn time_limit_is_parsed_not_trusted() {
+        let flags = |v: &str| parse_flags(&["--time-limit".to_owned(), v.to_owned()]).unwrap();
+        assert_eq!(
+            parse_time_limit(&HashMap::new()).unwrap(),
+            Duration::from_secs(10)
+        );
+        assert_eq!(
+            parse_time_limit(&flags("2.5")).unwrap(),
+            Duration::from_millis(2500)
+        );
+        // Each of these panicked in `Duration::from_secs_f64`.
+        for bad in ["-1", "nan", "1e30", "inf", "soon"] {
+            let err = parse_time_limit(&flags(bad)).unwrap_err().to_string();
+            assert!(err.starts_with("bad --time-limit"), "{bad}: {err}");
+        }
     }
 }

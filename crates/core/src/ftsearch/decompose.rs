@@ -26,13 +26,12 @@
 //! instead of once per assignment of the preceding configurations. Its weak
 //! spot is the opposite regime: a configuration whose CPU constraints are
 //! slack admits *every* assignment, so the per-configuration enumeration
-//! degenerates to `3^|P|` with only dominance pruning — use
-//! [`solve_best_effort`], which falls back to the seeded FT-Search when the
-//! decomposition exceeds its time budget.
+//! degenerates to `3^|P|` with only dominance pruning and runs into its
+//! time limit ([`Outcome::Timeout`]).
 
 use super::prep::Prep;
 use super::search::Val;
-use super::{raw_to_solution_parts, FtSearchConfig, Outcome, SearchReport, SearchStats};
+use super::{raw_to_solution_parts, Outcome, SearchReport, SearchStats};
 use crate::error::CoreError;
 use crate::problem::Problem;
 use std::time::{Duration, Instant};
@@ -638,32 +637,6 @@ pub fn solve_soft(
     }))
 }
 
-/// Convenience: decomposed solve with half the limit, falling back to the
-/// CP-style anytime engine ([`super::SearchMode::Portfolio`], seeded, with
-/// restarts and LNS) for the other half when the decomposition times out,
-/// so callers always get the best available strategy — on instances too
-/// large for either proof, the CP fallback still returns a feasible
-/// incumbent rather than nothing.
-pub fn solve_best_effort(
-    problem: &Problem,
-    time_limit: Duration,
-) -> Result<SearchReport, CoreError> {
-    let half = time_limit / 2;
-    match solve_decomposed(problem, half)? {
-        SearchReport {
-            outcome: Outcome::Timeout,
-            ..
-        } => super::solve(
-            problem,
-            &FtSearchConfig {
-                mode: super::SearchMode::Portfolio,
-                ..FtSearchConfig::with_time_limit(half)
-            },
-        ),
-        done => Ok(done),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,19 +749,5 @@ mod tests {
         // With an overwhelming penalty it maximizes IC: 2/3 is the best
         // achievable on this deployment.
         assert!((soft.solution.ic - 2.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn best_effort_always_returns_something_useful() {
-        let p = chain_problem(16, 4, 0.5);
-        let r = solve_best_effort(&p, Duration::from_secs(20)).unwrap();
-        assert!(
-            matches!(
-                r.outcome,
-                Outcome::Optimal(_) | Outcome::Feasible(_) | Outcome::Infeasible
-            ),
-            "got {}",
-            r.outcome.label()
-        );
     }
 }

@@ -45,7 +45,7 @@ mod prep;
 mod search;
 pub mod stats;
 
-pub use decompose::{solve_best_effort, solve_decomposed, solve_soft, SoftSolution};
+pub use decompose::{solve_decomposed, solve_soft, SoftSolution};
 pub use stats::{PruneKind, RootConflict, SearchStats, NUM_PRUNE_KINDS};
 
 use crate::error::CoreError;
@@ -524,26 +524,6 @@ fn best_seed(
     }
     offer(warm_start.and_then(|s| strategy_to_raw(prep, s)));
     best
-}
-
-/// A fast deterministic estimate of the cheapest feasible cost-rate for
-/// this problem: a greedy-seeded FT-Search run under a fixed node budget.
-/// Used by the placement local search ([`crate::placement_opt`]) to rank
-/// candidate placements without a full solve per move. Returns `None` when
-/// no feasible strategy was found within the budget.
-pub fn budgeted_cost_rate(problem: &Problem, node_budget: u64) -> Option<f64> {
-    if problem.k() != 2 {
-        return None;
-    }
-    let opts = FtSearchConfig {
-        node_limit: Some(node_budget),
-        ..FtSearchConfig::default()
-    };
-    let report = solve(problem, &opts).ok()?;
-    report
-        .outcome
-        .solution()
-        .map(|s| s.cost_cycles / problem.app.billing_period())
 }
 
 /// Run sequential FT-Search on a problem.

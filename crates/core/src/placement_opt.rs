@@ -9,8 +9,7 @@
 //! infeasible or force expensive activation patterns that a better spread
 //! would avoid. This module runs a deterministic first-improvement local
 //! search over single-replica host moves, ranking candidate placements by
-//! the best cost a node-budgeted FT-Search
-//! ([`crate::ftsearch::budgeted_cost_rate`]) finds on them, and verifying
+//! the best cost a node-budgeted FT-Search finds on them, and verifying
 //! the final winner with a full solve.
 
 use crate::error::CoreError;
@@ -66,6 +65,10 @@ fn rebuild(app: &Application, template: &Placement, assignment: Vec<HostId>) -> 
     .ok()
 }
 
+/// A fast deterministic estimate of the cheapest feasible cost-rate on
+/// `placement`: a greedy-seeded FT-Search run under a fixed node budget, so
+/// candidate placements can be ranked without a full solve per move. `None`
+/// when no feasible strategy was found within the budget.
 fn evaluate(
     app: &Application,
     placement: &Placement,
@@ -73,7 +76,15 @@ fn evaluate(
     node_budget: u64,
 ) -> Option<f64> {
     let problem = Problem::new(app.clone(), placement.clone(), ic_req).ok()?;
-    ftsearch::budgeted_cost_rate(&problem, node_budget)
+    let opts = FtSearchConfig {
+        node_limit: Some(node_budget),
+        ..FtSearchConfig::default()
+    };
+    let report = ftsearch::solve(&problem, &opts).ok()?;
+    report
+        .outcome
+        .solution()
+        .map(|s| s.cost_cycles / app.billing_period())
 }
 
 /// Improve `initial` for the given IC requirement by first-improvement

@@ -200,7 +200,7 @@ pub struct SimMetrics {
     /// failures overlap the swap window.
     pub swap_downtime_quanta: u64,
     /// Source tuples emitted during those degraded passes — the tuple-
-    /// denominated swap downtime reported by `laar bench-adapt`.
+    /// denominated swap downtime.
     pub swap_downtime_tuples: u64,
     /// The full tuple-conservation ledger of the run. For the simulator the
     /// transport terms (`transport_dropped`, `ring_residual`) are zero by

@@ -50,7 +50,7 @@ pub struct PhaseProfile {
     /// the [`HotArena`](crate::arena::HotArena) footprint.
     pub arena_bytes: u64,
     /// `arena_bytes` divided by the number of PEs — the per-PE memory
-    /// budget figure reported by `laar bench-sim`.
+    /// budget of the hot path.
     pub bytes_per_pe: f64,
 }
 

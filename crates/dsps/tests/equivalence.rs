@@ -437,7 +437,7 @@ const GOLDEN_24PE_CRASH: u64 = 0xdd8c_b255_ba2f_6dad;
 
 #[test]
 fn scaled_1k_pe_host_crash() {
-    // The 1k-PE scaled benchmark fixture (the `bench-sim` headline), held
+    // A 1k-PE `scaled_bench` fixture (the benchmark's `sim-wide` shape), held
     // to the same bar as the paper-scale fixtures across the thread axis
     // (LAAR_EQ_THREADS=8 in CI), under a mid-run host crash. The trace is
     // short — at this scale a couple of seconds of saturated input already

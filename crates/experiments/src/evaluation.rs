@@ -8,7 +8,6 @@ use laar_dsps::{FailurePlan, InputTrace, SimConfig, SimMetrics, Simulation};
 use laar_gen::{runtime_corpus, GenParams, GeneratedApp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -107,7 +106,7 @@ fn run_sim(
 
 /// Evaluate one generated application across all six variants.
 pub fn evaluate_app(gen: &GeneratedApp, cfg: &EvalConfig) -> Result<AppEvaluation, String> {
-    let set = build_variants(gen, cfg.solver_time_limit)?;
+    let set = build_variants(&gen.app, &gen.placement, cfg.solver_time_limit)?;
     let trace = trace_for(gen);
     let windows = trace.windows_above(0, gen.low_rate);
     let high_window = windows.first().copied().unwrap_or((0.0, trace.duration));
@@ -137,19 +136,15 @@ pub fn evaluate_app(gen: &GeneratedApp, cfg: &EvalConfig) -> Result<AppEvaluatio
     })
 }
 
-/// Evaluate the whole corpus (apps in parallel via rayon).
+/// Evaluate the whole corpus, one application after another.
 pub fn evaluate_corpus(cfg: &EvalConfig) -> CorpusEvaluation {
     let corpus = runtime_corpus(cfg.num_apps, &cfg.gen, cfg.seed);
-    let results: Vec<Result<AppEvaluation, (u64, String)>> = corpus
-        .par_iter()
-        .map(|gen| evaluate_app(gen, cfg).map_err(|e| (gen.seed, e)))
-        .collect();
     let mut apps = Vec::new();
     let mut skipped = Vec::new();
-    for r in results {
-        match r {
+    for gen in &corpus {
+        match evaluate_app(gen, cfg) {
             Ok(a) => apps.push(a),
-            Err(s) => skipped.push(s),
+            Err(reason) => skipped.push((gen.seed, reason)),
         }
     }
     CorpusEvaluation { apps, skipped }
@@ -179,10 +174,10 @@ pub fn evaluate_host_crash(cfg: &EvalConfig, n: usize) -> Vec<(u64, BTreeMap<Var
         .collect();
 
     picks
-        .par_iter()
+        .iter()
         .filter_map(|&(i, host)| {
             let gen = &corpus[i];
-            let set = build_variants(gen, cfg.solver_time_limit).ok()?;
+            let set = build_variants(&gen.app, &gen.placement, cfg.solver_time_limit).ok()?;
             let trace = trace_for(gen);
             let (hs, he) = trace
                 .windows_above(0, gen.low_rate)

@@ -34,9 +34,6 @@ pub mod variants;
 
 pub use cache::load_or_evaluate;
 pub use evaluation::{evaluate_corpus, evaluate_host_crash, CorpusEvaluation, EvalConfig};
-pub use solver_eval::{
-    benchmark_solver, evaluate_solver_corpus, merge_solver_baseline, SolverBenchBaselineRow,
-    SolverBenchConfig, SolverBenchMode, SolverBenchRow, SolverEvalConfig, SolverRun,
-};
+pub use solver_eval::{evaluate_solver_corpus, SolverEvalConfig, SolverRun};
 pub use stats::{BoxPlot, Histogram};
 pub use variants::{build_variants, VariantEntry, VariantSet};

@@ -2,13 +2,9 @@
 //! growing IC constraints and collect outcome labels, first-vs-optimal
 //! ratios, and pruning-effectiveness statistics.
 
-use laar_core::ftsearch::{
-    solve, solve_parallel, FtSearchConfig, PruneKind, SearchMode, SearchStats,
-};
+use laar_core::ftsearch::{solve, FtSearchConfig, PruneKind, SearchStats};
 use laar_core::Problem;
-use laar_gen::{solver_corpus, solver_corpus_large};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use laar_gen::solver_corpus;
 use std::time::Duration;
 
 /// Configuration of the solver evaluation.
@@ -73,14 +69,14 @@ impl SolverRun {
     }
 }
 
-/// Run the sweep: every instance × every IC constraint, in parallel over
-/// instances (each run itself is sequential so prune statistics are exact).
+/// Run the sweep: every instance × every IC constraint, one sequential
+/// run at a time (so prune statistics are exact).
 pub fn evaluate_solver_corpus(cfg: &SolverEvalConfig) -> Vec<SolverRun> {
     let corpus = solver_corpus(cfg.num_instances, cfg.seed);
     corpus
-        .par_iter()
+        .iter()
         .enumerate()
-        .flat_map_iter(|(i, inst)| {
+        .flat_map(|(i, inst)| {
             let mut rows = Vec::with_capacity(cfg.ic_constraints.len());
             for &ic in &cfg.ic_constraints {
                 let problem = Problem::new(inst.gen.app.clone(), inst.gen.placement.clone(), ic)
@@ -105,246 +101,6 @@ pub fn evaluate_solver_corpus(cfg: &SolverEvalConfig) -> Vec<SolverRun> {
             rows
         })
         .collect()
-}
-
-/// One engine mode compared by `laar bench-solver`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverBenchMode {
-    /// Legacy exhaustive DFS, one thread.
-    Sequential,
-    /// Deterministic parallel driver (`threads` workers, bit-identical to
-    /// sequential on proved instances).
-    Parallel,
-    /// CP-style anytime solver, one thread (restarts, nogoods, LNS).
-    Cp,
-    /// CP portfolio across `threads` diversified workers.
-    Portfolio,
-}
-
-impl SolverBenchMode {
-    /// The JSON/CLI label of this mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            SolverBenchMode::Sequential => "sequential",
-            SolverBenchMode::Parallel => "parallel",
-            SolverBenchMode::Cp => "cp",
-            SolverBenchMode::Portfolio => "portfolio",
-        }
-    }
-
-    /// Parse a CLI mode name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sequential" => Some(SolverBenchMode::Sequential),
-            "parallel" => Some(SolverBenchMode::Parallel),
-            "cp" => Some(SolverBenchMode::Cp),
-            "portfolio" => Some(SolverBenchMode::Portfolio),
-            _ => None,
-        }
-    }
-
-    /// All modes, in report order.
-    pub const ALL: [SolverBenchMode; 4] = [
-        SolverBenchMode::Sequential,
-        SolverBenchMode::Parallel,
-        SolverBenchMode::Cp,
-        SolverBenchMode::Portfolio,
-    ];
-}
-
-/// Configuration of the `laar bench-solver` comparison (the engine modes of
-/// [`SolverBenchMode`] side by side on a slice of the solver corpus).
-#[derive(Debug, Clone)]
-pub struct SolverBenchConfig {
-    /// Number of corpus instances to run.
-    pub num_instances: usize,
-    /// Corpus seed (same generator as [`SolverEvalConfig`]).
-    pub seed: u64,
-    /// The IC constraint every run solves for.
-    pub ic_constraint: f64,
-    /// Per-run wall-clock limit.
-    pub time_limit: Duration,
-    /// Thread count for the parallel/portfolio runs (sequential and cp
-    /// always use one).
-    pub threads: usize,
-    /// Engine modes to compare.
-    pub modes: Vec<SolverBenchMode>,
-    /// Append the large-instance ladder (`laar_gen::LARGE_LADDER`) after
-    /// the corpus slice.
-    pub large: bool,
-    /// CP parameter overrides applied to the cp/portfolio runs.
-    pub cp: laar_core::ftsearch::CpConfig,
-}
-
-impl Default for SolverBenchConfig {
-    fn default() -> Self {
-        Self {
-            num_instances: 8,
-            seed: 0xF7_5EA7C4,
-            ic_constraint: 0.7,
-            time_limit: Duration::from_secs(30),
-            threads: 4,
-            modes: SolverBenchMode::ALL.to_vec(),
-            large: false,
-            cp: laar_core::ftsearch::CpConfig::default(),
-        }
-    }
-}
-
-/// One `laar bench-solver` row: a single FT-Search run on one instance.
-#[derive(Debug, Clone, Serialize)]
-pub struct SolverBenchRow {
-    /// Index of the instance in the corpus.
-    pub instance: usize,
-    /// Hosts in the instance.
-    pub num_hosts: usize,
-    /// PEs per host in the instance.
-    pub pes_per_host: usize,
-    /// The IC constraint solved for.
-    pub ic_constraint: f64,
-    /// Engine mode label (see [`SolverBenchMode::label`]).
-    pub mode: &'static str,
-    /// Worker threads of this run.
-    pub threads: usize,
-    /// Outcome label: BST / SOL / NUL / TMO.
-    pub label: &'static str,
-    /// Nodes visited (schedule-dependent for parallel runs).
-    pub nodes: u64,
-    /// Milliseconds to the first feasible solution, when one was found.
-    pub time_to_first_ms: Option<f64>,
-    /// Milliseconds to the final incumbent.
-    pub time_to_best_ms: Option<f64>,
-    /// Total wall-clock milliseconds.
-    pub elapsed_ms: f64,
-    /// Cost-rate of the final incumbent, when one was found.
-    pub best_cost: Option<f64>,
-    /// Whether the tree was exhausted within the limits.
-    pub proved: bool,
-    /// Outcome label of the matching pre-PR baseline row, when one exists.
-    pub pre_pr_label: Option<String>,
-    /// Wall-clock ms of the matching pre-PR baseline row (0 when absent).
-    pub pre_pr_elapsed_ms: f64,
-    /// Incumbent cost of the matching pre-PR baseline row.
-    pub pre_pr_best_cost: Option<f64>,
-    /// `pre_pr_elapsed_ms / elapsed_ms` — how much faster this run reached
-    /// its verdict than the baseline (0 when no baseline row matches).
-    pub speedup_vs_pre_pr: f64,
-}
-
-/// A pre-PR `BENCH_solver.json` row, as read back for `--baseline`. Only
-/// the fields needed for matching and comparison are deserialized; rows
-/// from older schema revisions (without the `pre_pr_*` columns) parse too.
-#[derive(Debug, Clone, Deserialize)]
-pub struct SolverBenchBaselineRow {
-    /// Index of the instance in the corpus.
-    pub instance: usize,
-    /// The IC constraint solved for.
-    pub ic_constraint: f64,
-    /// Engine mode label.
-    pub mode: String,
-    /// Outcome label.
-    pub label: String,
-    /// Total wall-clock milliseconds.
-    pub elapsed_ms: f64,
-    /// Cost-rate of the final incumbent.
-    #[serde(default)]
-    pub best_cost: Option<f64>,
-}
-
-/// Attach pre-PR baseline columns to freshly benchmarked rows. Matching is
-/// by `(instance, ic_constraint, mode)`; modes absent from the baseline
-/// (e.g. `cp`/`portfolio` against a pre-CP report) fall back to the
-/// baseline's `sequential` row for the same instance so the speedup still
-/// expresses "new engine vs what shipped before". Unmatched rows keep
-/// zeroed baseline columns.
-pub fn merge_solver_baseline(rows: &mut [SolverBenchRow], baseline: &[SolverBenchBaselineRow]) {
-    let find = |instance: usize, ic: f64, mode: &str| {
-        baseline.iter().find(|b| {
-            b.instance == instance && (b.ic_constraint - ic).abs() < 1e-9 && b.mode == mode
-        })
-    };
-    for row in rows.iter_mut() {
-        let matched = find(row.instance, row.ic_constraint, row.mode)
-            .or_else(|| find(row.instance, row.ic_constraint, "sequential"));
-        if let Some(b) = matched {
-            row.pre_pr_label = Some(b.label.clone());
-            row.pre_pr_elapsed_ms = b.elapsed_ms;
-            row.pre_pr_best_cost = b.best_cost;
-            row.speedup_vs_pre_pr = if row.elapsed_ms > 0.0 {
-                b.elapsed_ms / row.elapsed_ms
-            } else {
-                0.0
-            };
-        }
-    }
-}
-
-/// Run the solver benchmark: each instance solved under every requested
-/// [`SolverBenchMode`] with identical limits, so `BENCH_solver.json`
-/// tracks time-to-first/time-to-best, node counts, and incumbent cost for
-/// all engines over time. Cold-start (no incumbent seeding), matching the
-/// Fig. 5 first-solution semantics. With `cfg.large` the
-/// [`solver_corpus_large`] ladder is appended after the base corpus (its
-/// rows keep indexing past `num_instances`).
-pub fn benchmark_solver(cfg: &SolverBenchConfig) -> Vec<SolverBenchRow> {
-    let mut corpus = solver_corpus(cfg.num_instances, cfg.seed);
-    if cfg.large {
-        corpus.extend(solver_corpus_large(cfg.seed));
-    }
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let mut rows = Vec::with_capacity(corpus.len() * cfg.modes.len());
-    for (i, inst) in corpus.iter().enumerate() {
-        let problem = Problem::new(
-            inst.gen.app.clone(),
-            inst.gen.placement.clone(),
-            cfg.ic_constraint,
-        )
-        .expect("valid problem");
-        for &mode in &cfg.modes {
-            let threads = match mode {
-                SolverBenchMode::Sequential | SolverBenchMode::Cp => 1,
-                SolverBenchMode::Parallel | SolverBenchMode::Portfolio => cfg.threads,
-            };
-            let opts = FtSearchConfig {
-                seed_incumbent: false,
-                threads,
-                mode: match mode {
-                    SolverBenchMode::Sequential | SolverBenchMode::Parallel => {
-                        SearchMode::Deterministic
-                    }
-                    SolverBenchMode::Cp | SolverBenchMode::Portfolio => SearchMode::Portfolio,
-                },
-                cp: cfg.cp.clone(),
-                ..FtSearchConfig::with_time_limit(cfg.time_limit)
-            };
-            let report = if threads == 1 && mode == SolverBenchMode::Sequential {
-                solve(&problem, &opts)
-            } else {
-                solve_parallel(&problem, &opts)
-            }
-            .expect("k = 2");
-            rows.push(SolverBenchRow {
-                instance: i,
-                num_hosts: inst.num_hosts,
-                pes_per_host: inst.pes_per_host,
-                ic_constraint: cfg.ic_constraint,
-                mode: mode.label(),
-                threads,
-                label: report.outcome.label(),
-                nodes: report.stats.nodes,
-                time_to_first_ms: report.stats.time_to_first.map(ms),
-                time_to_best_ms: report.stats.time_to_best.map(ms),
-                elapsed_ms: ms(report.stats.elapsed),
-                best_cost: report.stats.best_cost,
-                proved: report.stats.proved,
-                pre_pr_label: None,
-                pre_pr_elapsed_ms: 0.0,
-                pre_pr_best_cost: None,
-                speedup_vs_pre_pr: 0.0,
-            });
-        }
-    }
-    rows
 }
 
 /// Fig. 4 aggregation: per IC constraint, the fraction of runs per outcome
@@ -441,81 +197,6 @@ mod tests {
         let total: f64 = summary.iter().map(|(_, s, _)| s).sum();
         if total > 0.0 {
             assert!((total - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn benchmark_rows_pair_up_and_agree_on_cost() {
-        let cfg = SolverBenchConfig {
-            num_instances: 4,
-            seed: 11,
-            ic_constraint: 0.5,
-            time_limit: Duration::from_secs(5),
-            threads: 2,
-            modes: vec![SolverBenchMode::Sequential, SolverBenchMode::Parallel],
-            ..SolverBenchConfig::default()
-        };
-        let rows = benchmark_solver(&cfg);
-        assert_eq!(rows.len(), 8);
-        for pair in rows.chunks(2) {
-            let (seq, par) = (&pair[0], &pair[1]);
-            assert_eq!(seq.mode, "sequential");
-            assert_eq!(par.mode, "parallel");
-            assert_eq!(seq.instance, par.instance);
-            if seq.proved && par.proved {
-                assert_eq!(seq.label, par.label);
-                match (seq.best_cost, par.best_cost) {
-                    (Some(a), Some(b)) => {
-                        assert!((a - b).abs() < 1e-6 * a.abs().max(1.0), "{a} vs {b}")
-                    }
-                    (a, b) => assert_eq!(a.is_some(), b.is_some()),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn benchmark_cp_modes_and_baseline_merge() {
-        let cfg = SolverBenchConfig {
-            num_instances: 2,
-            seed: 11,
-            ic_constraint: 0.5,
-            time_limit: Duration::from_secs(5),
-            threads: 2,
-            modes: vec![SolverBenchMode::Sequential, SolverBenchMode::Cp],
-            ..SolverBenchConfig::default()
-        };
-        let mut rows = benchmark_solver(&cfg);
-        assert_eq!(rows.len(), 4);
-        for pair in rows.chunks(2) {
-            let (seq, cp) = (&pair[0], &pair[1]);
-            assert_eq!(seq.mode, "sequential");
-            assert_eq!(cp.mode, "cp");
-            assert_eq!(cp.threads, 1);
-            // Both engines are exact when they prove; verdicts must agree.
-            if seq.proved && cp.proved {
-                assert_eq!(seq.label, cp.label);
-            }
-        }
-        // Baseline with only sequential rows: cp rows fall back to the
-        // sequential row of the same instance.
-        let baseline: Vec<SolverBenchBaselineRow> = rows
-            .iter()
-            .filter(|r| r.mode == "sequential")
-            .map(|r| SolverBenchBaselineRow {
-                instance: r.instance,
-                ic_constraint: r.ic_constraint,
-                mode: r.mode.to_string(),
-                label: r.label.to_string(),
-                elapsed_ms: 2.0 * r.elapsed_ms.max(1.0),
-                best_cost: r.best_cost,
-            })
-            .collect();
-        merge_solver_baseline(&mut rows, &baseline);
-        for r in &rows {
-            assert!(r.pre_pr_label.is_some(), "row {} unmatched", r.mode);
-            assert!(r.pre_pr_elapsed_ms > 0.0);
-            assert!(r.speedup_vs_pre_pr > 0.0);
         }
     }
 

@@ -5,8 +5,7 @@
 use laar_core::ftsearch::{solve_with_warm_start, FtSearchConfig, Outcome};
 use laar_core::variants::{greedy, non_replicated, static_replication, VariantKind};
 use laar_core::{PessimisticFailure, Problem};
-use laar_gen::GeneratedApp;
-use laar_model::ActivationStrategy;
+use laar_model::{ActivationStrategy, Application, Placement};
 use std::time::Duration;
 
 /// One variant's strategy with its analytic (a-priori) objective values.
@@ -26,9 +25,10 @@ pub struct VariantEntry {
     pub solver_label: Option<String>,
 }
 
-/// All six variants for one application, or `None` with a reason when some
-/// LAAR instance is infeasible/timed out (such applications are skipped by
-/// the harness, mirroring the paper's use of solvable instances).
+/// All six variants for one application ([`build_variants`] answers with a
+/// reason instead when some LAAR instance is infeasible or timed out; the
+/// harness skips such applications, mirroring the paper's use of solvable
+/// instances).
 pub struct VariantSet {
     /// Entries in `VariantKind::ALL` order.
     pub entries: Vec<VariantEntry>,
@@ -46,7 +46,11 @@ impl VariantSet {
 
 /// Build all six variants. Returns `Err(reason)` when FT-Search cannot
 /// produce one of the LAAR strategies within `time_limit`.
-pub fn build_variants(gen: &GeneratedApp, time_limit: Duration) -> Result<VariantSet, String> {
+pub fn build_variants(
+    app: &Application,
+    placement: &Placement,
+    time_limit: Duration,
+) -> Result<VariantSet, String> {
     let mut entries = Vec::with_capacity(6);
 
     // LAAR variants first (NR is derived from L.5). Solve strictest IC
@@ -62,8 +66,8 @@ pub fn build_variants(gen: &GeneratedApp, time_limit: Duration) -> Result<Varian
         VariantKind::Laar05,
     ] {
         let ic_req = kind.ic_requirement().unwrap();
-        let problem = Problem::new(gen.app.clone(), gen.placement.clone(), ic_req)
-            .map_err(|e| e.to_string())?;
+        let problem =
+            Problem::new(app.clone(), placement.clone(), ic_req).map_err(|e| e.to_string())?;
         let opts = FtSearchConfig::with_time_limit(time_limit);
         let report =
             solve_with_warm_start(&problem, &opts, warm.as_ref()).map_err(|e| e.to_string())?;
@@ -90,8 +94,7 @@ pub fn build_variants(gen: &GeneratedApp, time_limit: Duration) -> Result<Varian
     }
 
     // Baselines share one problem instance (the IC requirement is unused).
-    let problem =
-        Problem::new(gen.app.clone(), gen.placement.clone(), 0.0).map_err(|e| e.to_string())?;
+    let problem = Problem::new(app.clone(), placement.clone(), 0.0).map_err(|e| e.to_string())?;
     let ev = problem.ic_evaluator();
     let cm = problem.cost_model();
     let mut push_baseline = |kind: VariantKind, strategy: ActivationStrategy| {
@@ -140,7 +143,8 @@ mod tests {
     fn builds_all_six_variants() {
         // Seed chosen so the IC 0.7 SLA is feasible.
         let gen = small_app(6);
-        let set = build_variants(&gen, Duration::from_secs(10)).expect("variants");
+        let set =
+            build_variants(&gen.app, &gen.placement, Duration::from_secs(10)).expect("variants");
         assert_eq!(set.entries.len(), 6);
         let labels: Vec<&str> = set.entries.iter().map(|e| e.kind.label()).collect();
         assert_eq!(labels, vec!["NR", "SR", "GRD", "L.5", "L.6", "L.7"]);
@@ -149,7 +153,7 @@ mod tests {
     #[test]
     fn guarantees_hold_per_variant() {
         let gen = small_app(7);
-        let set = match build_variants(&gen, Duration::from_secs(10)) {
+        let set = match build_variants(&gen.app, &gen.placement, Duration::from_secs(10)) {
             Ok(s) => s,
             Err(e) => {
                 // Some seeds are genuinely infeasible at IC 0.7; that's a
@@ -168,7 +172,7 @@ mod tests {
     #[test]
     fn laar_cost_increases_with_ic() {
         let gen = small_app(6);
-        if let Ok(set) = build_variants(&gen, Duration::from_secs(10)) {
+        if let Ok(set) = build_variants(&gen.app, &gen.placement, Duration::from_secs(10)) {
             let c5 = set.get(VariantKind::Laar05).expected_cost;
             let c6 = set.get(VariantKind::Laar06).expected_cost;
             let c7 = set.get(VariantKind::Laar07).expected_cost;

@@ -68,13 +68,13 @@ pub fn solver_corpus(n: usize, seed: u64) -> Vec<SolverInstance> {
     out
 }
 
-/// The large-instance ladder appended by `bench-solver --large`: cluster
+/// The large-instance ladder of `tests/solver_cp.rs`: cluster
 /// sizes well beyond the paper's 12×12 ceiling, scaling to hundreds of PEs.
 /// Each rung stresses the anytime machinery (restarts, LNS, nogood reuse)
 /// rather than exhaustive proving — at these sizes the interesting question
 /// is how quickly a feasible incumbent appears and improves, so unlike
 /// [`solver_corpus`] the rungs bound the Low/High rate ratio (milder
-/// overload at High) to stay feasible at the bench's IC constraint rather
+/// overload at High) to stay feasible at an IC constraint of 0.7 rather
 /// than testing infeasibility proving at scale.
 pub const LARGE_LADDER: &[(usize, usize)] = &[(16, 10), (20, 12), (24, 14), (32, 16), (40, 16)];
 

@@ -71,7 +71,7 @@ impl GenParams {
     /// pressure tracks the bigger population. Cost calibration re-derives
     /// `α` against the scaled deployment, so scaled fixtures keep the
     /// paper's shape — Low fits, High overloads — at any size. Used by
-    /// `laar generate --scale` and the `bench-sim` scale sweep.
+    /// `laar generate --scale` and the benchmark's `sim-dense` fixture.
     pub fn scaled(&self, factor: f64) -> Self {
         assert!(factor > 0.0, "scale factor must be positive");
         let scale = |v: usize| ((v as f64 * factor).round() as usize).max(1);
@@ -83,7 +83,7 @@ impl GenParams {
         }
     }
 
-    /// The `bench-sim` scale-sweep fixture: [`GenParams::scaled`] with the
+    /// The wide benchmark fixture (`sim-wide`): [`GenParams::scaled`] with the
     /// paper's source-rate range restored and sub-unit selectivities.
     /// The default selectivity range (0.5–1.5) makes per-PE tuple rates
     /// grow multiplicatively along fan-out chains, so a 1k-PE graph

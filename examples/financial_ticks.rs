@@ -10,6 +10,7 @@
 
 use laar::prelude::*;
 use laar_core::variants::peak_config;
+use laar_experiments::build_variants;
 use std::time::Duration;
 
 fn build_app() -> Application {
@@ -55,41 +56,10 @@ fn main() {
     ];
     let placement = Placement::new(app.graph(), 2, hosts, assignment).unwrap();
 
-    // Solve LAAR strategies strictest-first so the looser problems are
-    // warm-started (cost monotonicity is then guaranteed).
-    let mut warm: Option<ActivationStrategy> = None;
-    let mut strategies: Vec<(String, ActivationStrategy, f64)> = Vec::new();
-    for ic_req in [0.7, 0.6, 0.5] {
-        let problem = Problem::new(app.clone(), placement.clone(), ic_req).unwrap();
-        let report = ftsearch::solve_with_warm_start(
-            &problem,
-            &FtSearchConfig::with_time_limit(Duration::from_secs(15)),
-            warm.as_ref(),
-        )
-        .unwrap();
-        let sol = report.outcome.solution().expect("feasible");
-        warm = Some(sol.strategy.clone());
-        strategies.push((
-            format!("L.{}", (ic_req * 10.0) as u32),
-            sol.strategy.clone(),
-            sol.ic,
-        ));
-    }
-    strategies.reverse();
-
-    // Baselines on the same deployment.
+    // All six variants on the same deployment; the LAAR strategies are
+    // solved strictest-first and warm-started, so cost is monotone in IC.
+    let set = build_variants(&app, &placement, Duration::from_secs(15)).expect("feasible");
     let problem = Problem::new(app.clone(), placement.clone(), 0.0).unwrap();
-    let ev = problem.ic_evaluator();
-    let l5 = strategies[0].1.clone();
-    let nr = non_replicated(&problem, &l5);
-    let sr = static_replication(&problem);
-    let grd = greedy(&problem).strategy;
-    let mut variants: Vec<(String, ActivationStrategy, f64)> = vec![
-        ("NR".into(), nr.clone(), ev.ic(&nr, &PessimisticFailure)),
-        ("SR".into(), sr.clone(), ev.ic(&sr, &PessimisticFailure)),
-        ("GRD".into(), grd.clone(), ev.ic(&grd, &PessimisticFailure)),
-    ];
-    variants.extend(strategies);
 
     // Market session: quiet, one burst at open, quiet again.
     let trace = InputTrace {
@@ -110,7 +80,7 @@ fn main() {
     let nr_clean = Simulation::new(
         &app,
         &placement,
-        nr,
+        set.get(VariantKind::NonReplicated).strategy.clone(),
         &trace,
         FailurePlan::None,
         SimConfig::default(),
@@ -118,7 +88,8 @@ fn main() {
     .run();
     let reference = nr_clean.total_processed() as f64;
 
-    for (name, strategy, bound) in &variants {
+    for entry in &set.entries {
+        let strategy = &entry.strategy;
         let best = Simulation::new(
             &app,
             &placement,
@@ -140,8 +111,8 @@ fn main() {
         .run();
         println!(
             "{:<5} {:>8.3} {:>10.1} {:>9} {:>12.2} {:>12.3}",
-            name,
-            bound,
+            entry.kind.label(),
+            entry.guaranteed_ic,
             best.total_cpu_seconds(),
             best.queue_drops,
             best.output_rate.mean_over(170.0, 250.0),

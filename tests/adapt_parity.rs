@@ -10,7 +10,7 @@
 //! * the adapted run strictly beats riding the stale strategy on drops
 //!   and delivered output.
 //!
-//! The fixture is the `bench-adapt` one: Fig. 2 on double-capacity hosts,
+//! The fixture: Fig. 2 on double-capacity hosts,
 //! declared High = 8 t/s, optimal incumbent at IC 0.7 = all replicas
 //! active. The source then sustains 12 t/s: all-active demands 2400 >
 //! 2000 cycles/s per host (drops), while staggered single replicas fit at

@@ -46,7 +46,7 @@ fn generated_apps_solve_and_satisfy_constraints() {
 fn variant_cost_ordering_holds_end_to_end() {
     // Seed chosen so every variant (including the IC 0.7 SLA) is feasible.
     let gen = small_gen(6);
-    let set = build_variants(&gen, Duration::from_secs(10)).expect("solvable");
+    let set = build_variants(&gen.app, &gen.placement, Duration::from_secs(10)).expect("solvable");
     let problem = Problem::new(gen.app.clone(), gen.placement.clone(), 0.0).unwrap();
     let cm = problem.cost_model();
     let cost = |k: VariantKind| cm.cost_cycles(&set.get(k).strategy);
@@ -61,7 +61,7 @@ fn variant_cost_ordering_holds_end_to_end() {
 fn simulated_worst_case_respects_analytic_bound() {
     // Seed chosen so build_variants succeeds and the bound is exercised.
     let gen = small_gen(9);
-    let Ok(set) = build_variants(&gen, Duration::from_secs(10)) else {
+    let Ok(set) = build_variants(&gen.app, &gen.placement, Duration::from_secs(10)) else {
         return; // genuinely infeasible seed: nothing to verify
     };
     let trace = InputTrace::low_high_centered(
@@ -145,7 +145,7 @@ fn controller_json_drives_same_simulation() {
     // Strategy serialized to the HAController JSON document and parsed back
     // must produce identical simulation results.
     let gen = small_gen(7);
-    let Ok(set) = build_variants(&gen, Duration::from_secs(10)) else {
+    let Ok(set) = build_variants(&gen.app, &gen.placement, Duration::from_secs(10)) else {
         return;
     };
     let entry = set.get(VariantKind::Laar06);

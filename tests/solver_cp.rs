@@ -192,3 +192,29 @@ fn portfolio_verdicts_consistent_with_sequential() {
         }
     }
 }
+
+/// Beyond the sizes either engine can prove (80–320 PEs, the
+/// `solver_corpus_large` ladder), the sequential CP run still answers: under
+/// a 20 000-node budget every rung yields an incumbent that meets IC 0.7 and
+/// passes the independent constraint check.
+#[test]
+fn cp_finds_feasible_incumbents_on_the_large_ladder() {
+    let opts = FtSearchConfig {
+        node_limit: Some(20_000),
+        ..cp_opts()
+    };
+    for (rung, inst) in laar_gen::solver_corpus_large(0xF7_5EA7C4)
+        .into_iter()
+        .enumerate()
+    {
+        let p = Problem::new(inst.gen.app, inst.gen.placement, 0.7).unwrap();
+        let report = solve(&p, &opts).unwrap();
+        let sol = report
+            .outcome
+            .solution()
+            .unwrap_or_else(|| panic!("rung {rung}: {}", report.outcome.label()));
+        assert!(sol.ic >= 0.7, "rung {rung}: IC {}", sol.ic);
+        let violations = p.check(&sol.strategy);
+        assert!(violations.is_empty(), "rung {rung}: {violations:?}");
+    }
+}
