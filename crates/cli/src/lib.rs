@@ -19,7 +19,7 @@
 
 use laar_adapt::{AdaptConfig, AdaptReport};
 use laar_core::ftsearch::{self, FtSearchConfig, Outcome};
-use laar_core::Problem;
+use laar_core::{CoreError, Problem};
 use laar_dsps::profiler::{descriptor_error, profile_application};
 use laar_dsps::{FailurePlan, InputTrace, SimConfig, SimMetrics, Simulation};
 use laar_experiments::build_variants;
@@ -127,7 +127,12 @@ pub fn cmd_solve(
     let problem = Problem::new(app.clone(), placement.clone(), ic_requirement).map_err(message)?;
     if let Some(lambda) = soft_penalty {
         let soft = ftsearch::solve_soft(&problem, lambda, time_limit)
-            .map_err(message)?
+            .map_err(|e| match e {
+                CoreError::InvalidPenaltyRate(_) => {
+                    CliError::Message(format!("bad --soft {lambda}: {e}"))
+                }
+                e => message(e),
+            })?
             .ok_or_else(|| {
                 CliError::Message(
                     "soft solve timed out or the deployment cannot fit the application".to_owned(),
@@ -477,6 +482,27 @@ mod tests {
         let soft = cmd_solve(&app, &placement, 0.999, Duration::from_secs(10), Some(1e6)).unwrap();
         assert_eq!(soft.label, "SOFT");
         assert!(soft.ic_shortfall.unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn bad_soft_penalty_is_an_error_not_a_panic() {
+        let (app, placement, _) = artifacts();
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = cmd_solve(&app, &placement, 0.5, Duration::from_secs(10), Some(bad))
+                .unwrap_err()
+                .to_string();
+            assert!(err.starts_with("bad --soft "), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn huge_time_limit_solves_normally() {
+        // 1e19 s passes `Duration::try_from_secs_f64` but overflowed the
+        // solver's deadline.
+        let (app, placement, _) = artifacts();
+        let limit = Duration::try_from_secs_f64(1e19).unwrap();
+        let solved = cmd_solve(&app, &placement, 0.5, limit, None).unwrap();
+        assert_eq!(solved.label, "BST");
     }
 
     #[test]

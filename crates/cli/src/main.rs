@@ -165,9 +165,11 @@ fn run() -> Result<(), CliError> {
                 .map_err(|e| CliError::Message(format!("bad --ic: {e}")))?;
             let soft = flags
                 .get("soft")
-                .map(|v| v.parse::<f64>())
-                .transpose()
-                .map_err(|e| CliError::Message(format!("bad --soft: {e}")))?;
+                .map(|v| {
+                    v.parse::<f64>()
+                        .map_err(|e| CliError::Message(format!("bad --soft {v}: {e}")))
+                })
+                .transpose()?;
             let out = cmd_solve(&app, &placement, ic, time_limit, soft)?;
             let doc = out.strategy.to_controller_json(app.graph());
             std::fs::write(

@@ -71,6 +71,8 @@ pub enum CoreError {
     PlacementMismatch,
     /// The IC requirement is outside `[0, 1]`.
     InvalidIcRequirement(f64),
+    /// The soft solver's penalty rate is negative or not finite.
+    InvalidPenaltyRate(f64),
     /// The model layer rejected something.
     Model(laar_model::ModelError),
 }
@@ -89,6 +91,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidIcRequirement(v) => {
                 write!(f, "IC requirement {v} outside [0, 1]")
+            }
+            CoreError::InvalidPenaltyRate(v) => {
+                write!(f, "penalty rate {v} is not a finite number >= 0")
             }
             CoreError::Model(e) => write!(f, "model error: {e}"),
         }

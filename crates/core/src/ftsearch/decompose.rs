@@ -401,7 +401,7 @@ pub fn solve_decomposed(
         // say so before enumerating the others.
         return Ok(report);
     }
-    let deadline = start + time_limit;
+    let deadline = super::deadline_after(start, time_limit);
     let nq = prep.num_configs;
     let mut nodes = 0u64;
     let report = |outcome: Outcome, nodes: u64| SearchReport {
@@ -536,15 +536,22 @@ pub struct SoftSolution {
 ///
 /// Uses the same per-configuration Pareto decomposition as
 /// [`solve_decomposed`] — and shares its scaling caveats.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidPenaltyRate`] unless `penalty_rate` is finite and
+/// non-negative; [`CoreError::UnsupportedReplication`] unless `k = 2`.
 pub fn solve_soft(
     problem: &Problem,
     penalty_rate: f64,
     time_limit: Duration,
 ) -> Result<Option<SoftSolution>, CoreError> {
+    if !(penalty_rate >= 0.0 && penalty_rate.is_finite()) {
+        return Err(CoreError::InvalidPenaltyRate(penalty_rate));
+    }
     if problem.k() != 2 {
         return Err(CoreError::UnsupportedReplication { k: problem.k() });
     }
-    assert!(penalty_rate >= 0.0 && penalty_rate.is_finite());
     let prep = Prep::build(problem);
     if prep.root_conflict.is_some() {
         // The CPU constraint stays hard: no soft solution either, and no
@@ -552,7 +559,7 @@ pub fn solve_soft(
         return Ok(None);
     }
     let start = Instant::now();
-    let deadline = start + time_limit;
+    let deadline = super::deadline_after(start, time_limit);
     let nq = prep.num_configs;
 
     // Full frontiers (no goal clipping: every fic level may win).
@@ -732,6 +739,18 @@ mod tests {
                 "objective must grow with λ"
             );
             last_obj = s.objective_rate;
+        }
+    }
+
+    #[test]
+    fn soft_solver_rejects_bad_penalty_rates() {
+        let p = fig2_problem(0.6);
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = solve_soft(&p, bad, Duration::from_secs(10)).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidPenaltyRate(_)),
+                "{bad}: {err}"
+            );
         }
     }
 

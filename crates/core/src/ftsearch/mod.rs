@@ -314,6 +314,18 @@ impl SharedBest {
     }
 }
 
+/// `start + time_limit`, saturated: a limit past what `Instant` can hold
+/// (`Duration::MAX` as "no limit") is halved until it fits, which leaves a
+/// deadline no run reaches instead of an overflow panic.
+pub(crate) fn deadline_after(start: Instant, mut time_limit: Duration) -> Instant {
+    loop {
+        if let Some(deadline) = start.checked_add(time_limit) {
+            return deadline;
+        }
+        time_limit /= 2;
+    }
+}
+
 /// Build a greedy feasible incumbent: all replicas active everywhere, then
 /// per configuration deactivate replicas on overloaded hosts —
 /// most-downstream PEs first, so upstream `Δ̂` chains survive and the IC
@@ -552,7 +564,7 @@ pub fn solve_with_warm_start(
     }
     let prep = Prep::build(problem);
     let start = Instant::now();
-    let deadline = start + opts.time_limit;
+    let deadline = deadline_after(start, opts.time_limit);
     if opts.prune_cpu {
         if let Some(report) = root_verdict(&prep, start) {
             return Ok(report);
@@ -647,7 +659,7 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
     }
 
     let start = Instant::now();
-    let deadline = start + opts.time_limit;
+    let deadline = deadline_after(start, opts.time_limit);
     let shared = SharedBest::new();
     if opts.seed_incumbent {
         if let Some(seed) = greedy_seed(&prep) {
@@ -749,7 +761,7 @@ fn solve_portfolio(
     threads: usize,
 ) -> SearchReport {
     let start = Instant::now();
-    let deadline = start + opts.time_limit;
+    let deadline = deadline_after(start, opts.time_limit);
     let shared = SharedBest::new();
     let pool = if opts.cp.share_nogoods && threads > 1 {
         Some(cp::NogoodPool::default())
@@ -972,6 +984,38 @@ mod tests {
             report.outcome.label()
         );
         assert!(!report.stats.proved);
+    }
+
+    #[test]
+    fn unbounded_time_limit_means_no_limit() {
+        // `start + Duration::MAX` overflowed `Instant` and panicked.
+        let p = fig2_problem(0.6);
+        let det = FtSearchConfig::with_time_limit(Duration::MAX);
+        let cp = FtSearchConfig {
+            mode: SearchMode::Portfolio,
+            threads: 2,
+            ..det.clone()
+        };
+        let reports = [
+            ("solve", solve(&p, &det)),
+            (
+                "solve_with_warm_start",
+                solve_with_warm_start(&p, &det, None),
+            ),
+            ("solve_parallel", solve_parallel(&p, &det)),
+            ("solve (cp)", solve(&p, &cp)),
+            ("solve_parallel (portfolio)", solve_parallel(&p, &cp)),
+            ("solve_decomposed", solve_decomposed(&p, Duration::MAX)),
+        ];
+        for (what, report) in reports {
+            let report = report.unwrap();
+            assert_eq!(report.outcome.label(), "BST", "{what}");
+            assert!(report.stats.proved, "{what}");
+        }
+        let soft = solve_soft(&p, 1e9, Duration::MAX)
+            .unwrap()
+            .expect("fig2 fits");
+        assert!(soft.ic_shortfall_rate < 1e-9);
     }
 
     #[test]

@@ -23,13 +23,10 @@ pub(crate) enum Val {
 }
 
 impl Val {
+    /// Whether replica 0 and replica 1 are active.
     #[inline]
-    fn actives(self) -> &'static [usize] {
-        match self {
-            Val::Both => &[0, 1],
-            Val::Only0 => &[0],
-            Val::Only1 => &[1],
-        }
+    fn replicas(self) -> (bool, bool) {
+        (self != Val::Only1, self != Val::Only0)
     }
 
     #[inline]
@@ -154,9 +151,10 @@ pub(crate) struct Engine<'a> {
     tie_keeping: bool,
     /// Stop as soon as any solution is installed (first-incumbent dive).
     stop_on_solution: bool,
-    /// Per-run node budget (the CP driver meters restarts/LNS with this;
-    /// independent of `opts.node_limit`, which callers use as a global cap).
-    node_budget: Option<u64>,
+    /// The node count at which the run stops: the smaller of
+    /// `opts.node_limit` (callers' global cap) and the per-run budget the CP
+    /// driver meters restarts and LNS with.
+    node_cap: u64,
     nogoods: Option<&'a mut NogoodStore>,
     /// Learn new nogoods at CPU/COMPL violations (store may also be consulted
     /// read-only with learning off).
@@ -258,7 +256,7 @@ impl<'a> Engine<'a> {
             value_policy: ValuePolicy::CheapFirst,
             tie_keeping: shared.is_some(),
             stop_on_solution: false,
-            node_budget: None,
+            node_cap: opts.node_limit.unwrap_or(u64::MAX),
             nogoods: None,
             learn: false,
             activity: None,
@@ -317,7 +315,7 @@ impl<'a> Engine<'a> {
     }
 
     pub(crate) fn set_node_budget(&mut self, nodes: u64) {
-        self.node_budget = Some(nodes);
+        self.node_cap = self.node_cap.min(nodes);
     }
 
     /// Install a known-feasible solution as the incumbent (greedy seeding).
@@ -374,15 +372,54 @@ impl<'a> Engine<'a> {
     /// minimum is too).
     #[inline]
     fn compl_violated(&self) -> bool {
+        // `x - 0.0 == x` bit for bit: the bounds as they stand.
+        self.compl_violated_less(0, 0.0)
+    }
+
+    /// [`Self::compl_violated`] on the bounds less `credit` in configuration
+    /// `c`, the order of operations `try_assign` uses to subtract it.
+    #[inline]
+    fn compl_violated_less(&self, c: usize, credit: f64) -> bool {
         let lo = self.goal_lo();
-        if self.fic + self.ic_ub_rem < lo {
+        if self.fic + (self.ic_ub_rem - credit) < lo {
             return true;
         }
         let mut bound = 0.0;
-        for c in 0..self.prep.num_configs {
-            bound += (self.fic_by_cfg[c] + self.ic_ub_by_cfg[c]).min(self.prep.kub[c]);
+        for k in 0..self.prep.num_configs {
+            let ub = if k == c {
+                self.ic_ub_by_cfg[k] - credit
+            } else {
+                self.ic_ub_by_cfg[k]
+            };
+            bound += (self.fic_by_cfg[k] + ub).min(self.prep.kub[k]);
         }
         bound < lo
+    }
+
+    /// COMPL for the single `val` of variable `v` on the state `try_assign`
+    /// would leave before its chain loss, without assigning. A single adds
+    /// exactly `+0.0` to `fic`, the chain loss only adds non-positive
+    /// deltas to `ic_ub_rem` and `ic_ub_by_cfg`, and rounded addition is
+    /// monotone, so the full check after `try_assign` would cut the same
+    /// node. A value that overloads its host is left to `try_assign`: CPU
+    /// keeps its precedence and its prune kind.
+    #[inline]
+    fn single_refuted(&self, v: usize, val: Val) -> bool {
+        let prep = self.prep;
+        let var = prep.vars[v];
+        let pe = var.pe as usize;
+        let c = var.cfg.index();
+        let nq = prep.num_configs;
+        let h = prep.host_of[pe][usize::from(val == Val::Only1)] as usize;
+        if self.host_load[h * nq + c] + prep.replica_load[pe * nq + c] >= prep.cap[h] {
+            return false;
+        }
+        let credit = if self.both_removed[v] {
+            0.0
+        } else {
+            prep.prob[c] * self.rcv_ub[pe * nq + c]
+        };
+        self.compl_violated_less(c, credit)
     }
 
     /// The cost of the best known solution, local or shared.
@@ -399,19 +436,11 @@ impl<'a> Engine<'a> {
     }
 
     fn check_deadline(&mut self) {
-        if self.stats.nodes & TIMEOUT_CHECK_MASK == 0 && Instant::now() >= self.deadline {
+        if self.stats.nodes >= self.node_cap
+            || (self.stats.nodes & TIMEOUT_CHECK_MASK == 0 && Instant::now() >= self.deadline)
+            || self.shared.is_some_and(|s| s.is_cancelled())
+        {
             self.timed_out = true;
-        }
-        if self.opts.node_limit.is_some_and(|n| self.stats.nodes >= n) {
-            self.timed_out = true;
-        }
-        if self.node_budget.is_some_and(|n| self.stats.nodes >= n) {
-            self.timed_out = true;
-        }
-        if let Some(s) = self.shared {
-            if s.is_cancelled() {
-                self.timed_out = true;
-            }
         }
     }
 
@@ -427,6 +456,11 @@ impl<'a> Engine<'a> {
             Some(o) => o[pos] as usize,
             None => pos,
         };
+        // Refute singles before assigning them where nothing but the cut
+        // itself observes a COMPL prune: no nogood to learn, no activity to
+        // bump (the deterministic engine).
+        let refute_first =
+            self.opts.prune_compl && self.nogoods.is_none() && self.activity.is_none();
         for val in self.value_order(v) {
             self.stats.nodes += 1;
             self.check_deadline();
@@ -434,6 +468,10 @@ impl<'a> Engine<'a> {
                 return;
             }
             let height = (self.prep.num_vars - pos) as u64;
+            if refute_first && !val.is_both() && self.single_refuted(v, val) {
+                self.stats.record_prune(PruneKind::Compl, height);
+                continue;
+            }
             // Nogood store: would this value complete a refuted prefix?
             if let Some(ng) = &self.nogoods {
                 if ng.is_forbidden(v as u32, val) {
@@ -628,31 +666,42 @@ impl<'a> Engine<'a> {
         let c = var.cfg.index();
         let nq = self.prep.num_configs;
         let load = self.prep.replica_load[pe * nq + c];
+        let (on0, on1) = val.replicas();
+        let h0 = self.prep.host_of[pe][0] as usize;
+        let h1 = self.prep.host_of[pe][1] as usize;
 
-        // CPU loads.
+        // CPU loads; the first overloaded host is the one CPU learning blames.
         let mut over_host: Option<usize> = None;
-        for &r in val.actives() {
-            let h = self.prep.host_of[pe][r] as usize;
-            let slot = h * nq + c;
-            self.host_load[slot] += load;
-            if self.host_load[slot] >= self.prep.cap[h] && over_host.is_none() {
-                over_host = Some(h);
+        if on0 {
+            self.host_load[h0 * nq + c] += load;
+            if self.host_load[h0 * nq + c] >= self.prep.cap[h0] {
+                over_host = Some(h0);
+            }
+        }
+        if on1 {
+            self.host_load[h1 * nq + c] += load;
+            if self.host_load[h1 * nq + c] >= self.prep.cap[h1] && over_host.is_none() {
+                over_host = Some(h1);
             }
         }
         if let Some(h) = over_host {
             if self.opts.prune_cpu {
-                for &r in val.actives() {
-                    let hh = self.prep.host_of[pe][r] as usize;
-                    self.host_load[hh * nq + c] -= load;
+                if on0 {
+                    self.host_load[h0 * nq + c] -= load;
+                }
+                if on1 {
+                    self.host_load[h1 * nq + c] -= load;
                 }
                 self.stats.record_prune(PruneKind::Cpu, height);
                 self.learn_cpu(v, val, h);
                 return false;
             }
         }
-        for &r in val.actives() {
-            let h = self.prep.host_of[pe][r] as usize;
-            self.slot_assigned[h * nq + c] += 1;
+        if on0 {
+            self.slot_assigned[h0 * nq + c] += 1;
+        }
+        if on1 {
+            self.slot_assigned[h1 * nq + c] += 1;
         }
 
         // Δ̂ and FIC (eqs. 6–7): predecessors in this configuration are
@@ -676,7 +725,7 @@ impl<'a> Engine<'a> {
         self.fic_by_cfg[c] += contrib;
 
         // Cost and bounds.
-        let mult = val.actives().len() as f64;
+        let mult = if val.is_both() { 2.0 } else { 1.0 };
         self.cost += mult * self.prep.w_cost[v];
         self.cost_lb_rem -= self.prep.w_cost[v];
         if !self.both_removed[v] {
@@ -711,15 +760,21 @@ impl<'a> Engine<'a> {
         let c = var.cfg.index();
         let nq = self.prep.num_configs;
         let load = self.prep.replica_load[pe * nq + c];
-        for &r in val.actives() {
-            let h = self.prep.host_of[pe][r] as usize;
-            self.host_load[h * nq + c] -= load;
-            self.slot_assigned[h * nq + c] -= 1;
+        let (on0, on1) = val.replicas();
+        if on0 {
+            let slot = self.prep.host_of[pe][0] as usize * nq + c;
+            self.host_load[slot] -= load;
+            self.slot_assigned[slot] -= 1;
+        }
+        if on1 {
+            let slot = self.prep.host_of[pe][1] as usize * nq + c;
+            self.host_load[slot] -= load;
+            self.slot_assigned[slot] -= 1;
         }
         self.fic -= self.fic_contrib[v];
         self.fic_by_cfg[c] -= self.fic_contrib[v];
         self.fic_contrib[v] = 0.0;
-        let mult = val.actives().len() as f64;
+        let mult = if val.is_both() { 2.0 } else { 1.0 };
         self.cost -= mult * self.prep.w_cost[v];
         self.cost_lb_rem += self.prep.w_cost[v];
         if !val.is_both() {
