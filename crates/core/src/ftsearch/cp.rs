@@ -11,7 +11,7 @@
 
 use super::nogood::NogoodStore;
 use super::prep::Prep;
-use super::search::{evaluate_assignment, Engine, RawSolution, Val, ValuePolicy};
+use super::search::{evaluate_assignment, priority_order, Engine, RawSolution, Val, ValuePolicy};
 use super::stats::SearchStats;
 use super::{better_solution, FtSearchConfig, SharedBest};
 use rand::{Rng, SeedableRng, StdRng};
@@ -69,66 +69,18 @@ impl Activity {
 
 /// Build an exploration order from current activities: configuration blocks
 /// sorted by total activity (descending, ties in original block order), PEs
-/// within a block in a priority topological order (most active ready PE
-/// first, ties on the smaller dense index). Any such order keeps
-/// predecessors-before-successors per configuration, which the engine's
-/// incremental Δ̂/FIC bookkeeping and DOM propagation require.
+/// within a block in [`priority_order`] with the activity as key (most
+/// active ready PE first).
 pub(crate) fn build_order(prep: &Prep, act: &Activity) -> Vec<u32> {
     let np = prep.num_pes;
-    let nq = prep.num_configs;
-    let nblocks = prep.num_vars / np;
-    debug_assert_eq!(nblocks * np, prep.num_vars);
-
-    let mut blocks: Vec<(f64, usize)> = (0..nblocks)
+    let mut blocks: Vec<(f64, usize)> = (0..prep.num_configs)
         .map(|b| {
             let sum: f64 = (b * np..(b + 1) * np).map(|v| act.score(v)).sum();
             (sum, b)
         })
         .collect();
     blocks.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-
-    // Unique successor lists derived from the deduplicated predecessor sets.
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); np];
-    for (s, preds) in prep.pe_pred.iter().enumerate() {
-        for &p in preds {
-            succs[p as usize].push(s as u32);
-        }
-    }
-
-    let mut order = Vec::with_capacity(prep.num_vars);
-    let mut indeg = vec![0u32; np];
-    let mut ready: Vec<u32> = Vec::with_capacity(np);
-    for (_, b) in blocks {
-        let c = prep.vars[b * np].cfg.index();
-        for (d, preds) in indeg.iter_mut().zip(&prep.pe_pred) {
-            *d = preds.len() as u32;
-        }
-        ready.clear();
-        ready.extend((0..np as u32).filter(|&pe| indeg[pe as usize] == 0));
-        for _ in 0..np {
-            let mut pick = 0;
-            let mut pick_score = f64::NEG_INFINITY;
-            let mut pick_pe = u32::MAX;
-            for (i, &pe) in ready.iter().enumerate() {
-                let s = act.score(prep.var_index[pe as usize * nq + c]);
-                if s > pick_score || (s == pick_score && pe < pick_pe) {
-                    pick = i;
-                    pick_score = s;
-                    pick_pe = pe;
-                }
-            }
-            let pe = ready.swap_remove(pick) as usize;
-            order.push(prep.var_index[pe * nq + c] as u32);
-            for &s in &succs[pe] {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), prep.num_vars);
-    order
+    priority_order(prep, blocks.into_iter().map(|(_, b)| b), |v| act.score(v))
 }
 
 /// Constructive feasibility dive: start from all-`Both` (maximal IC), then

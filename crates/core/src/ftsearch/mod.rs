@@ -77,8 +77,10 @@ pub(crate) fn better_solution(a: &RawSolution, b: &RawSolution) -> bool {
 /// Which search engine drives the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMode {
-    /// The paper-faithful branch-and-bound: static lexicographic order,
-    /// no learning, bit-identical incumbent for any thread count.
+    /// The paper-faithful branch-and-bound: a static fail-first order
+    /// (configurations most resource hungry first, and inside one the ready
+    /// PE whose downstream cone carries the most load first), no learning,
+    /// bit-identical incumbent for any thread count.
     Deterministic,
     /// CP-style anytime search: nogood learning, activity-guided ordering,
     /// geometric restarts, and LNS around the incumbent. Under
@@ -586,7 +588,9 @@ pub fn solve_with_warm_start(
             stats,
         });
     }
+    let order = search::fail_first_order(&prep);
     let mut engine = Engine::new(&prep, opts, start, deadline, None);
+    engine.set_order(&order);
     if let Some(seed) = best_seed(&prep, opts, warm_start) {
         engine.set_seed(seed);
     }
@@ -666,12 +670,14 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
             shared.offer(&seed);
         }
     }
+    let order = search::fail_first_order(&prep);
     let prefixes = enumerate_prefixes(split_depth);
 
     // (incumbent, timed out, stats) of one prefix subtree.
     type PrefixResult = (Option<RawSolution>, bool, SearchStats);
     let run_task = |prefix: &Vec<Val>| -> PrefixResult {
         let mut engine = Engine::new(&prep, opts, start, deadline, Some(&shared));
+        engine.set_order(&order);
         if !engine.push_prefix(prefix) {
             let stats = engine.stats.clone();
             return (None, false, stats);
@@ -848,7 +854,7 @@ mod tests {
     use super::*;
     use crate::ic::PessimisticFailure;
     use crate::testutil::{chain_problem, diamond_problem, fig2_problem};
-    use laar_model::ConfigId;
+    use laar_model::{Application, ConfigId, ConfigSpace, GraphBuilder, Placement};
 
     #[test]
     fn fig2_outcome_is_optimal_and_feasible() {
@@ -1062,6 +1068,31 @@ mod tests {
                 (Outcome::Infeasible, Outcome::Infeasible) => {}
                 (a, b) => panic!("outcomes differ: {} vs {}", a.label(), b.label()),
             }
+        }
+    }
+
+    #[test]
+    fn app_without_pes_is_trivially_optimal() {
+        // Nothing to decide: the empty strategy meets any IC goal for free.
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("src");
+        let sink = b.add_sink("sink");
+        b.connect_sink(src, sink).unwrap();
+        let g = b.build().unwrap();
+        let cs = ConfigSpace::new(&g, vec![vec![4.0, 8.0]], vec![0.5, 0.5]).unwrap();
+        let placement = Placement::new(&g, 2, Placement::uniform_hosts(2, 1000.0), vec![]).unwrap();
+        let app = Application::new("empty", g, cs, 300.0).unwrap();
+        let p = Problem::new(app, placement, 0.6).unwrap();
+        for (what, report) in [
+            ("solve", solve(&p, &FtSearchConfig::default())),
+            (
+                "solve_parallel",
+                solve_parallel(&p, &FtSearchConfig::default()),
+            ),
+        ] {
+            let report = report.unwrap();
+            assert_eq!(report.outcome.label(), "BST", "{what}");
+            assert_eq!(report.stats.nodes, 0, "{what}");
         }
     }
 

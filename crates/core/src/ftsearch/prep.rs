@@ -1,14 +1,18 @@
-//! Precomputation for FT-Search: variable ordering and per-variable weights.
+//! Precomputation for FT-Search: variable numbering and per-variable weights.
 //!
 //! FT-Search explores one decision variable per (PE, input configuration)
 //! pair with domain `{OnlyR0, OnlyR1, Both}` (3 values — eq. 12 excludes
 //! "none", hence the paper's `3^(|P|·|C|)` space for `k = 2`).
 //!
-//! Variable order is *configuration-major*: configurations sorted by their
-//! all-active total CPU load, descending (the paper's "most resource hungry
-//! configurations first" heuristic), and PEs in topological order within a
-//! configuration. Topological order inside a configuration is what makes the
-//! incremental `Δ̂`/FIC bookkeeping and DOM propagation possible (§4.5).
+//! Variables are numbered *configuration-major*: configurations sorted by
+//! their all-active total CPU load, descending (the paper's "most resource
+//! hungry configurations first" heuristic), and PEs in dense (topological)
+//! order within a configuration. The engine explores the configuration
+//! blocks in this order, but not necessarily the PEs inside one: any order
+//! that is topological inside a configuration keeps the incremental
+//! `Δ̂`/FIC bookkeeping and DOM propagation possible (§4.5), and the
+//! deterministic engine takes the fail-first one of
+//! `search::fail_first_order`.
 
 use super::stats::RootConflict;
 use crate::problem::Problem;
@@ -58,7 +62,8 @@ pub(crate) struct Prep {
     pub num_configs: usize,
     pub num_hosts: usize,
     pub num_vars: usize,
-    /// `v -> (cfg, pe)` in exploration order.
+    /// `v -> (cfg, pe)`: configuration blocks in exploration order, PEs in
+    /// dense order inside a block (the engine's order without `set_order`).
     pub vars: Vec<Var>,
     /// `pe * num_configs + cfg -> v`.
     pub var_index: Vec<usize>,

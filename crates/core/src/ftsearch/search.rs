@@ -137,11 +137,15 @@ pub(crate) struct Engine<'a> {
     /// them off.
     proof_bounds: bool,
 
-    // --- CP extensions (all default-off: the legacy DFS path is unchanged) ---
-    /// Exploration order (position -> variable); `None` = identity. Any
-    /// permutation whose per-configuration restriction is topological is
-    /// legal (incremental Δ̂ and DOM need predecessors assigned first).
+    /// Exploration order (position -> variable); `None` = identity, the
+    /// dense order of `Prep::vars`. Any permutation whose per-configuration
+    /// restriction is topological is legal (incremental Δ̂ and DOM need
+    /// predecessors assigned first).
     order: Option<&'a [u32]>,
+    /// The inverse of `order` (variable -> position); empty for identity.
+    position_of: Vec<u32>,
+
+    // --- CP extensions (all default-off: the legacy DFS path is unchanged) ---
     /// LNS freeze mask: non-zero entries pin the variable to that value.
     fixed: Option<&'a [u8]>,
     /// Value to try first under `ValuePolicy::Guided`.
@@ -251,6 +255,7 @@ impl<'a> Engine<'a> {
             timed_out: false,
             proof_bounds: true,
             order: None,
+            position_of: Vec::new(),
             fixed: None,
             guide: None,
             value_policy: ValuePolicy::CheapFirst,
@@ -272,6 +277,29 @@ impl<'a> Engine<'a> {
     pub(crate) fn set_order(&mut self, order: &'a [u32]) {
         debug_assert_eq!(order.len(), self.prep.num_vars);
         self.order = Some(order);
+        self.position_of = vec![0; order.len()];
+        for (pos, &v) in order.iter().enumerate() {
+            self.position_of[v as usize] = pos as u32;
+        }
+    }
+
+    /// The variable decided at search position `pos`.
+    #[inline]
+    fn var_at(&self, pos: usize) -> usize {
+        match self.order {
+            Some(o) => o[pos] as usize,
+            None => pos,
+        }
+    }
+
+    /// The search position of variable `v`.
+    #[inline]
+    fn position(&self, v: usize) -> usize {
+        if self.position_of.is_empty() {
+            v
+        } else {
+            self.position_of[v] as usize
+        }
     }
 
     /// Freeze variables with non-zero entries to the given values (LNS).
@@ -328,14 +356,16 @@ impl<'a> Engine<'a> {
         self.best = Some(sol);
     }
 
-    /// Pre-assign a prefix of variables (used by the parallel splitter).
-    /// Returns `false` if the prefix itself is infeasible (prunable).
+    /// Pre-assign the first `prefix.len()` positions of the exploration
+    /// order (used by the parallel splitter). Returns `false` if the prefix
+    /// itself is infeasible (prunable).
     pub(crate) fn push_prefix(&mut self, prefix: &[Val]) -> bool {
-        for (v, &val) in prefix.iter().enumerate() {
+        for (pos, &val) in prefix.iter().enumerate() {
+            let v = self.var_at(pos);
             if self.both_removed[v] && val.is_both() {
                 return false; // dominated prefix: nothing worth searching
             }
-            if !self.try_assign(v, val, (self.prep.num_vars - v) as u64) {
+            if !self.try_assign(v, val, (self.prep.num_vars - pos) as u64) {
                 return false;
             }
             if self.opts.prune_compl && self.compl_violated() {
@@ -452,10 +482,7 @@ impl<'a> Engine<'a> {
             self.record_leaf();
             return;
         }
-        let v = match self.order {
-            Some(o) => o[pos] as usize,
-            None => pos,
-        };
+        let v = self.var_at(pos);
         // Refute singles before assigning them where nothing but the cut
         // itself observes a COMPL prune: no nogood to learn, no activity to
         // bump (the deterministic engine).
@@ -974,7 +1001,8 @@ impl<'a> Engine<'a> {
     /// Remove `Both` from the open variable `u = (pe, c)`: freeze its Δ̂
     /// upper bound (a single is all it can be, contributing nothing),
     /// subtract its residual IC credit, propagate the loss downstream, and
-    /// trail the exact amounts for undo.
+    /// trail the exact amounts for undo. The prune's height is that of the
+    /// branch `u` would have opened: `num_vars` less its search position.
     fn remove_both(&mut self, pe: usize, c: usize, u: usize) {
         let slot = pe * self.prep.num_configs + c;
         self.both_removed[u] = true;
@@ -991,8 +1019,8 @@ impl<'a> Engine<'a> {
             credit,
             dhat_saved,
         });
-        self.stats
-            .record_prune(PruneKind::Dom, (self.prep.num_vars - u) as u64);
+        let height = (self.prep.num_vars - self.position(u)) as u64;
+        self.stats.record_prune(PruneKind::Dom, height);
     }
 
     /// Capacity propagation after `v`'s loads landed. Host loads only grow
@@ -1284,12 +1312,278 @@ pub(crate) fn evaluate_assignment(p: &Prep, assign: &[u8]) -> (f64, f64, f64) {
     (cost, fic, max_rel)
 }
 
+/// The priority-topological walk both engines explore in: configuration
+/// blocks (variables `b·|P| .. (b+1)·|P|` of `Prep::vars`) in the order
+/// given, and inside a block, among the PEs whose predecessors are already
+/// placed, the one whose variable has the largest `key` (ties to the smaller
+/// dense index). Such an order keeps predecessors before successors per
+/// configuration, which the incremental Δ̂/FIC bookkeeping and DOM need.
+pub(crate) fn priority_order(
+    prep: &Prep,
+    blocks: impl IntoIterator<Item = usize>,
+    key: impl Fn(usize) -> f64,
+) -> Vec<u32> {
+    let np = prep.num_pes;
+    let nq = prep.num_configs;
+    if np == 0 {
+        return Vec::new();
+    }
+    // Unique successor lists derived from the deduplicated predecessor sets.
+    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); np];
+    for (s, preds) in prep.pe_pred.iter().enumerate() {
+        for &p in preds {
+            succs[p as usize].push(s as u32);
+        }
+    }
+
+    let mut order = Vec::with_capacity(prep.num_vars);
+    let mut indeg = vec![0u32; np];
+    let mut ready: Vec<u32> = Vec::with_capacity(np);
+    for b in blocks {
+        let c = prep.vars[b * np].cfg.index();
+        for (d, preds) in indeg.iter_mut().zip(&prep.pe_pred) {
+            *d = preds.len() as u32;
+        }
+        ready.clear();
+        ready.extend((0..np as u32).filter(|&pe| indeg[pe as usize] == 0));
+        for _ in 0..np {
+            let mut pick = 0;
+            let mut pick_score = f64::NEG_INFINITY;
+            let mut pick_pe = u32::MAX;
+            for (i, &pe) in ready.iter().enumerate() {
+                let s = key(prep.var_index[pe as usize * nq + c]);
+                if s > pick_score || (s == pick_score && pe < pick_pe) {
+                    pick = i;
+                    pick_score = s;
+                    pick_pe = pe;
+                }
+            }
+            let pe = ready.swap_remove(pick) as usize;
+            order.push(prep.var_index[pe * nq + c] as u32);
+            for &s in &succs[pe] {
+                indeg[s as usize] -= 1;
+                if indeg[s as usize] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), prep.num_vars);
+    order
+}
+
+/// The deterministic engine's fail-first order: `Prep`'s configuration
+/// blocks, and inside each the ready PE whose downstream cone carries the
+/// most load — `Σ replica_load[u, c]` over the PE and every PE reachable
+/// from it, summed in ascending dense order. Those are the PEs whose
+/// replicas decide the CPU constraints and whose single-replica choice
+/// zeroes the IC of the most downstream work, so the tree fails high.
+pub(crate) fn fail_first_order(prep: &Prep) -> Vec<u32> {
+    let np = prep.num_pes;
+    let nq = prep.num_configs;
+    let mut cone_load = vec![0.0; prep.num_vars];
+    // `seen[u] == pe` marks `u` as in the cone of `pe`.
+    let mut seen = vec![usize::MAX; np];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut cone: Vec<u32> = Vec::new();
+    for pe in 0..np {
+        cone.clear();
+        seen[pe] = pe;
+        stack.push(pe as u32);
+        while let Some(u) = stack.pop() {
+            cone.push(u);
+            for &s in &prep.pe_succ[u as usize] {
+                if seen[s as usize] != pe {
+                    seen[s as usize] = pe;
+                    stack.push(s);
+                }
+            }
+        }
+        cone.sort_unstable();
+        for c in 0..nq {
+            let mut sum = 0.0;
+            for &u in &cone {
+                sum += prep.replica_load[u as usize * nq + c];
+            }
+            cone_load[prep.var_index[pe * nq + c]] = sum;
+        }
+    }
+    priority_order(prep, 0..nq, |v| cone_load[v])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ftsearch::FtSearchConfig;
-    use crate::testutil::fig2_problem;
+    use crate::problem::Problem;
+    use crate::testutil::{chain_problem, diamond_problem, fig2_problem};
+    use laar_model::{Application, ConfigSpace, GraphBuilder, HostId, Placement};
     use std::time::Duration;
+
+    /// `src → a → {b, c, d}`, `d → e`: `b` and `c` tie, and the `d → e`
+    /// branch outweighs both, so the fail-first order is not the dense one.
+    fn fan_problem(ic_req: f64) -> Problem {
+        let mut g = GraphBuilder::new();
+        let s = g.add_source("src");
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| g.add_pe(n));
+        let k = g.add_sink("sink");
+        g.connect(s, a, 1.0, 50.0).unwrap();
+        for (from, to, cost) in [(a, b, 20.0), (a, c, 20.0), (a, d, 10.0), (d, e, 40.0)] {
+            g.connect(from, to, 1.0, cost).unwrap();
+        }
+        for pe in [b, c, e] {
+            g.connect_sink(pe, k).unwrap();
+        }
+        let g = g.build().unwrap();
+        let cs = ConfigSpace::new(&g, vec![vec![4.0, 8.0]], vec![0.7, 0.3]).unwrap();
+        let assignment = (0..5u32)
+            .flat_map(|i| [HostId(i % 3), HostId((i + 1) % 3)])
+            .collect();
+        let placement =
+            Placement::new(&g, 2, Placement::uniform_hosts(3, 700.0), assignment).unwrap();
+        let app = Application::new("fan", g, cs, 300.0).unwrap();
+        Problem::new(app, placement, ic_req).unwrap()
+    }
+
+    /// Run the engine to completion, in `order` or in the dense order.
+    fn run_in(prep: &Prep, order: Option<&[u32]>) -> (Option<RawSolution>, SearchStats) {
+        let opts = FtSearchConfig::default();
+        let start = Instant::now();
+        let mut eng = Engine::new(prep, &opts, start, start + Duration::from_secs(10), None);
+        if let Some(o) = order {
+            eng.set_order(o);
+        }
+        let (sol, timed_out) = eng.run(0);
+        assert!(!timed_out);
+        (sol, eng.stats)
+    }
+
+    #[test]
+    fn fail_first_order_takes_the_heaviest_ready_cone() {
+        let fixtures = [
+            ("fig2", fig2_problem(0.6)),
+            ("diamond", diamond_problem(0.5)),
+            ("chain", chain_problem(16, 4, 0.5)),
+            ("fan", fan_problem(0.5)),
+        ];
+        for (what, p) in fixtures {
+            let prep = Prep::build(&p);
+            let (np, nq) = (prep.num_pes, prep.num_configs);
+            let order = fail_first_order(&prep);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert!(
+                sorted.into_iter().eq(0..prep.num_vars as u32),
+                "{what}: a permutation"
+            );
+            // Cone loads recomputed from the transitive closure, built
+            // bottom-up over the dense (topological) order.
+            let mut reach = vec![vec![false; np]; np];
+            for u in (0..np).rev() {
+                reach[u][u] = true;
+                for &s in &prep.pe_succ[u] {
+                    let below = reach[s as usize].clone();
+                    for (r, b) in reach[u].iter_mut().zip(below) {
+                        *r |= b;
+                    }
+                }
+            }
+            let cone = |pe: usize, c: usize| -> f64 {
+                let mut sum = 0.0;
+                for w in (0..np).filter(|&w| reach[pe][w]) {
+                    sum += prep.replica_load[w * nq + c];
+                }
+                sum
+            };
+            for b in 0..nq {
+                let c = prep.vars[b * np].cfg.index();
+                let mut placed = vec![false; np];
+                for &v in &order[b * np..(b + 1) * np] {
+                    let var = prep.vars[v as usize];
+                    assert_eq!(
+                        var.cfg.index(),
+                        c,
+                        "{what}: block {b} keeps its configuration"
+                    );
+                    let pe = var.pe as usize;
+                    let ready = |u: usize| {
+                        !placed[u] && prep.pe_pred[u].iter().all(|&q| placed[q as usize])
+                    };
+                    assert!(ready(pe), "{what}: pe {pe} placed before its predecessors");
+                    for u in (0..np).filter(|&u| ready(u)) {
+                        let (cu, cp) = (cone(u, c), cone(pe, c));
+                        assert!(
+                            cu < cp || (cu == cp && u >= pe),
+                            "{what}: took pe {pe} (cone {cp}) over ready pe {u} (cone {cu})"
+                        );
+                    }
+                    placed[pe] = true;
+                }
+            }
+            if what == "fan" {
+                assert!(
+                    order.iter().zip(0..).any(|(&v, pos)| v != pos),
+                    "fan: the fixture must tell the two orders apart"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_and_fail_first_orders_agree_on_the_answer() {
+        let cases = [
+            ("fig2 @ 0", fig2_problem(0.0)),
+            ("fig2 @ 0.6", fig2_problem(0.6)),
+            ("fig2 @ 2/3", fig2_problem(2.0 / 3.0)),
+            ("fig2 @ 0.9", fig2_problem(0.9)),
+            ("diamond @ 0.55", diamond_problem(0.55)),
+            ("chain @ 0.5", chain_problem(16, 4, 0.5)),
+            ("fan @ 0.3", fan_problem(0.3)),
+            ("fan @ 0.6", fan_problem(0.6)),
+            ("fan @ 0.9", fan_problem(0.9)),
+        ];
+        for (what, p) in cases {
+            let prep = Prep::build(&p);
+            let order = fail_first_order(&prep);
+            let answer = |order: Option<&[u32]>| {
+                let (sol, stats) = run_in(&prep, order);
+                assert!(stats.proved, "{what}");
+                sol.map(|s| s.cost_rate.to_bits())
+            };
+            assert_eq!(
+                answer(None),
+                answer(Some(&order)),
+                "{what}: label and cost bits"
+            );
+        }
+    }
+
+    #[test]
+    fn dom_heights_count_search_positions() {
+        // The Low block first: assigning (Low, pe1) a single at position 0
+        // removes `Both` from (Low, pe2) — variable 3, but position 1.
+        let prep = Prep::build(&fig2_problem(0.0));
+        let order = [2u32, 3, 0, 1];
+        let opts = FtSearchConfig::default();
+        let start = Instant::now();
+        let mut eng = Engine::new(&prep, &opts, start, start + Duration::from_secs(10), None);
+        eng.set_order(&order);
+        assert!(eng.push_prefix(&[Val::Only0]));
+        let removed: Vec<usize> = eng.trail.iter().map(|t| t.var as usize).collect();
+        assert_eq!(removed, [3]);
+        let recount: u64 = removed
+            .iter()
+            .map(|&u| (prep.num_vars - order.iter().position(|&x| x as usize == u).unwrap()) as u64)
+            .sum();
+        let dom = PruneKind::Dom.index();
+        assert_eq!(eng.stats.prunes[dom], removed.len() as u64);
+        assert_eq!(eng.stats.prune_heights[dom], recount);
+        assert_ne!(
+            recount,
+            (prep.num_vars - 3) as u64,
+            "positions, not indices"
+        );
+    }
 
     fn run_fig2(ic: f64) -> (Option<RawSolution>, SearchStats) {
         let p = fig2_problem(ic);

@@ -75,8 +75,10 @@ impl From<CachedCorpus> for CorpusEvaluation {
 /// A stable key describing everything that affects an evaluation's result.
 fn cache_key(cfg: &EvalConfig) -> String {
     // Bump when generator/simulator semantics change: parameters alone do
-    // not capture code-level behaviour changes.
-    const CACHE_VERSION: u32 = 2;
+    // not capture code-level behaviour changes. Solver changes count too:
+    // the L.5–L.7 strategies are solved under a wall-clock limit, so a new
+    // search order changes what a time-limited solve returns.
+    const CACHE_VERSION: u32 = 3;
     // FNV-1a over a canonical parameter string.
     let desc = format!(
         "v={CACHE_VERSION} apps={} seed={} limit={:?} worst={} gen=({},{},{},{:?},{:?},{:?},{},{},{},{},{}) sim=({},{},{},{},{},{},{},{})",

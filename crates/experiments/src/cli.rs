@@ -40,11 +40,11 @@ impl CommonArgs {
                 }
                 "--time-limit" => {
                     i += 1;
-                    let secs: f64 = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--time-limit"));
-                    out.time_limit = Some(Duration::from_secs_f64(secs));
+                    let v = args.get(i).map_or("", String::as_str);
+                    out.time_limit = Some(parse_time_limit(v).unwrap_or_else(|e| {
+                        eprintln!("{e}");
+                        std::process::exit(2);
+                    }));
                 }
                 "--seed" => {
                     i += 1;
@@ -97,6 +97,15 @@ fn usage(flag: &str) -> ! {
     std::process::exit(2);
 }
 
+/// `--time-limit SECS` → the FT-Search limit. Negative, non-finite and
+/// overflowing values are errors naming the value, not the panic
+/// `Duration::from_secs_f64` answers them with.
+fn parse_time_limit(v: &str) -> Result<Duration, String> {
+    let bad = |e: &dyn std::fmt::Display| format!("bad --time-limit {v:?}: {e}");
+    let secs: f64 = v.parse().map_err(|e| bad(&e))?;
+    Duration::try_from_secs_f64(secs).map_err(|e| bad(&e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +121,20 @@ mod tests {
         assert_eq!(a.time_limit, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(a.seed, Some(9));
         assert!(!a.paper);
+    }
+
+    #[test]
+    fn time_limit_is_parsed_not_trusted() {
+        assert_eq!(parse_time_limit("2.5"), Ok(Duration::from_millis(2500)));
+        // Each of these panicked in `Duration::from_secs_f64`.
+        for bad in ["-1", "nan", "1e30"] {
+            let err = parse_time_limit(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("bad --time-limit \"{bad}\"")),
+                "{err}"
+            );
+        }
+        assert!(parse_time_limit("").is_err());
     }
 
     #[test]

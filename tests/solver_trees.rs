@@ -3,11 +3,22 @@
 //!
 //! A change that only makes a node cheaper must leave every number here
 //! alone: verdict, the bits of the optimal cost, the node count, and the
-//! count and summed height of every kind of prune. The deterministic engine
-//! is pinned on the `plan-proofs` pairs of the benchmark (the five that
-//! search and one that ends at the root presolve), the CP engine on the
-//! `adapt-drift` fixture under the node budget of one re-plan. Every value
-//! was recorded at commit 9316435.
+//! count and summed height of every kind of prune. A change of exploration
+//! order moves the tree on purpose, and then shows here every number it
+//! moves; the verdicts and the optimal cost bits cannot move, because the
+//! bounds are exact under any legal order. The deterministic engine is
+//! pinned on the `plan-proofs` pairs of the benchmark (the five that search
+//! and one that ends at the root presolve), the CP engine on the
+//! `adapt-drift` fixture under the node budget of one re-plan.
+//!
+//! Every value was recorded at commit 9316435, then re-recorded on top of
+//! d06a6a2 where the deterministic engine's fail-first order (the ready PE
+//! with the heaviest downstream cone first) replaced the dense order: the
+//! five searched trees shrank (3 347 893 → 219 436 nodes together); their
+//! verdicts, both cost bits and the root-verdict entry are as at 9316435.
+//! In the same change DOM prune heights started to count search positions
+//! instead of variable indices, which moved the CP entry's DOM height sum
+//! (351 892 → 101 409) and nothing else of it.
 
 use laar_core::ftsearch::{solve, FtSearchConfig, SearchMode, SearchReport};
 use laar_core::Problem;
@@ -59,9 +70,9 @@ const PROOFS: [(usize, f64, Tree); 6] = [
         Tree {
             label: "NUL",
             cost_bits: 0,
-            nodes: 711_953,
-            prunes: [70_658, 401_581, 0, 201_075, 0],
-            prune_heights: [2_118_419, 12_463_751, 0, 5_499_788, 0],
+            nodes: 34_472,
+            prunes: [3_803, 19_023, 0, 7_649, 0],
+            prune_heights: [121_235, 634_678, 0, 219_284, 0],
         },
     ),
     (
@@ -70,9 +81,9 @@ const PROOFS: [(usize, f64, Tree); 6] = [
         Tree {
             label: "NUL",
             cost_bits: 0,
-            nodes: 1_129_868,
-            prunes: [110_166, 637_184, 0, 398_230, 0],
-            prune_heights: [3_415_383, 20_159_325, 0, 11_401_513, 0],
+            nodes: 39_500,
+            prunes: [3_321, 22_257, 0, 13_973, 0],
+            prune_heights: [113_068, 745_656, 0, 410_050, 0],
         },
     ),
     (
@@ -81,9 +92,9 @@ const PROOFS: [(usize, f64, Tree); 6] = [
         Tree {
             label: "BST",
             cost_bits: 0x4095_c9e7_c8ce_df1c,
-            nodes: 95_957,
-            prunes: [3_417, 42_008, 17_161, 690, 0],
-            prune_heights: [54_453, 296_672, 93_615, 11_516, 0],
+            nodes: 95_217,
+            prunes: [1_513, 54_288, 6_798, 220, 0],
+            prune_heights: [25_250, 356_112, 30_909, 3_768, 0],
         },
     ),
     (
@@ -92,9 +103,9 @@ const PROOFS: [(usize, f64, Tree); 6] = [
         Tree {
             label: "BST",
             cost_bits: 0x4080_48ee_ce0e_457a,
-            nodes: 434_706,
-            prunes: [6_937, 173_465, 105_275, 44_423, 0],
-            prune_heights: [121_630, 1_553_732, 910_458, 569_480, 0],
+            nodes: 48_107,
+            prunes: [1_134, 18_337, 12_091, 3_690, 0],
+            prune_heights: [20_230, 240_586, 181_051, 62_559, 0],
         },
     ),
     (
@@ -103,9 +114,9 @@ const PROOFS: [(usize, f64, Tree); 6] = [
         Tree {
             label: "NUL",
             cost_bits: 0,
-            nodes: 975_409,
-            prunes: [169_337, 479_174, 0, 173_356, 0],
-            prune_heights: [7_131_244, 20_552_644, 0, 5_747_196, 0],
+            nodes: 2_140,
+            prunes: [429, 998, 0, 316, 0],
+            prune_heights: [20_907, 49_526, 0, 12_266, 0],
         },
     ),
 ];
@@ -154,7 +165,7 @@ fn cp_run_on_the_drift_fixture_keeps_its_tree() {
             cost_bits: 0x4076_16e9_c111_dd37,
             nodes: 200_000,
             prunes: [17, 55_942, 12_652, 13_609, 15_936],
-            prune_heights: [385, 475_493, 57_618, 351_892, 71_048],
+            prune_heights: [385, 475_493, 57_618, 101_409, 71_048],
         },
     );
     let s = &report.stats;
