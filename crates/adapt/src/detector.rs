@@ -69,10 +69,8 @@ impl Default for DriftConfig {
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DriftConfig,
-    /// Declared rate levels, `declared[source][level]`.
-    declared: Vec<Vec<f64>>,
-    /// Declared configuration pmf.
-    declared_probs: Vec<f64>,
+    /// The declared descriptor: rate levels, pmf and configuration encoding.
+    space: ConfigSpace,
     /// EWMA estimate per (source, level), initialized to the declared value.
     ewma: Vec<Vec<f64>>,
     /// Measurements folded into each (source, level) estimate.
@@ -80,9 +78,6 @@ pub struct DriftDetector {
     /// Observed occupancy per configuration (each check classifies the full
     /// measured vector to its nearest configuration).
     occupancy: Vec<u64>,
-    /// Mixed-radix strides mapping per-source level indices to config index
-    /// (first source most significant, matching [`ConfigSpace`]).
-    strides: Vec<usize>,
     streak: u32,
     drifted: bool,
     deviation: f64,
@@ -94,21 +89,13 @@ impl DriftDetector {
         assert!(cfg.alpha > 0.0 && cfg.alpha <= 1.0);
         assert!(cfg.exit < cfg.enter, "hysteresis band must be non-empty");
         assert!(cfg.quantum > 0.0);
-        let declared: Vec<Vec<f64>> = (0..space.num_sources())
-            .map(|s| space.rate_set(s).to_vec())
-            .collect();
-        let mut strides = vec![1usize; declared.len()];
-        for s in (0..declared.len().saturating_sub(1)).rev() {
-            strides[s] = strides[s + 1] * declared[s + 1].len();
-        }
+        let declared = || (0..space.num_sources()).map(|s| space.rate_set(s));
         Self {
             cfg,
-            ewma: declared.clone(),
-            seen: declared.iter().map(|r| vec![0; r.len()]).collect(),
+            ewma: declared().map(<[f64]>::to_vec).collect(),
+            seen: declared().map(|r| vec![0; r.len()]).collect(),
             occupancy: vec![0; space.num_configs()],
-            declared_probs: space.configs().map(|c| space.prob(c)).collect(),
-            declared,
-            strides,
+            space: space.clone(),
             streak: 0,
             drifted: false,
             deviation: 0.0,
@@ -133,21 +120,21 @@ impl DriftDetector {
     /// Fold one measured rate vector (one per source) into the estimators
     /// and update the hysteresis state.
     pub fn observe(&mut self, rates: &[f64]) {
-        let mut config = 0usize;
-        for (s, levels) in self.declared.iter().enumerate() {
+        let space = &self.space;
+        let config = space.config_from_indices((0..space.num_sources()).map(|s| {
             let r = rates.get(s).copied().unwrap_or(0.0);
-            let l = Self::classify(levels, r);
+            let l = Self::classify(space.rate_set(s), r);
             let e = &mut self.ewma[s][l];
             *e = self.cfg.alpha * r + (1.0 - self.cfg.alpha) * *e;
             self.seen[s][l] += 1;
-            config += l * self.strides[s];
-        }
-        self.occupancy[config] += 1;
+            l
+        }));
+        self.occupancy[config.index()] += 1;
 
         // Worst relative deviation over levels with at least one sample.
         let mut dev = 0.0f64;
-        for (s, levels) in self.declared.iter().enumerate() {
-            for (l, &d) in levels.iter().enumerate() {
+        for s in 0..self.space.num_sources() {
+            for (l, &d) in self.space.rate_set(s).iter().enumerate() {
                 if self.seen[s][l] > 0 && d > 0.0 {
                     dev = dev.max((self.ewma[s][l] - d).abs() / d);
                 }
@@ -191,8 +178,9 @@ impl DriftDetector {
     /// crosses above its neighbor). The pmf is re-estimated from occupancy
     /// only when [`DriftConfig::reestimate_probs`] is set.
     pub fn estimate(&self) -> DescriptorEstimate {
-        let mut rates = Vec::with_capacity(self.declared.len());
-        for (s, levels) in self.declared.iter().enumerate() {
+        let mut rates = Vec::with_capacity(self.space.num_sources());
+        for s in 0..self.space.num_sources() {
+            let levels = self.space.rate_set(s);
             let mut out = Vec::with_capacity(levels.len());
             let mut prev = 0.0f64;
             for (l, &d) in levels.iter().enumerate() {
@@ -215,7 +203,7 @@ impl DriftDetector {
                 .map(|&n| n as f64 / total as f64)
                 .collect()
         } else {
-            self.declared_probs.clone()
+            self.space.configs().map(|c| self.space.prob(c)).collect()
         };
         DescriptorEstimate { rates, probs }
     }

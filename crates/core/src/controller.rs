@@ -2,13 +2,12 @@
 //!
 //! The HAController is initialized with the off-line computed replica
 //! activation strategy. At runtime it receives measured source rates from
-//! the Rate Monitor, selects — through an R-tree index over the declared
-//! input configurations — the configuration that dominates the measured
-//! rates with minimal slack (never underestimating load), and, when the
-//! selected configuration changes, reliably emits activation/deactivation
-//! commands to the affected PE replicas.
+//! the Rate Monitor, selects the declared input configuration that
+//! dominates the measured rates with minimal slack (never underestimating
+//! load; [`ConfigSpace::dominating_config`]), and, when the selected
+//! configuration changes, reliably emits activation/deactivation commands
+//! to the affected PE replicas.
 
-use crate::rtree::RTree;
 use laar_model::{ActivationStrategy, ConfigId, ConfigSpace};
 use serde::{Deserialize, Serialize};
 
@@ -40,41 +39,11 @@ impl Command {
     }
 }
 
-/// Maps measured rate vectors to input configurations through an R-tree
-/// (with a componentwise-max fallback when nothing dominates).
-#[derive(Debug, Clone)]
-pub struct ConfigIndex {
-    tree: RTree,
-    max_config: ConfigId,
-}
-
-impl ConfigIndex {
-    /// Index every configuration of `space`.
-    pub fn new(space: &ConfigSpace) -> Self {
-        let points: Vec<(Vec<f64>, ConfigId)> =
-            space.configs().map(|c| (space.rate_vector(c), c)).collect();
-        Self {
-            tree: RTree::bulk_load(points),
-            max_config: space.max_config(),
-        }
-    }
-
-    /// Select the configuration for a measured rate vector: the dominating
-    /// configuration with minimal L1 slack, or the componentwise-maximal
-    /// configuration when the measured rates exceed everything declared.
-    pub fn select(&self, measured: &[f64]) -> ConfigId {
-        self.tree
-            .dominating_min_slack(measured)
-            .map(|(c, _)| c)
-            .unwrap_or(self.max_config)
-    }
-}
-
 /// The HAController state machine.
 #[derive(Debug, Clone)]
 pub struct HaController {
     strategy: ActivationStrategy,
-    index: ConfigIndex,
+    space: ConfigSpace,
     current: ConfigId,
     switches: u64,
 }
@@ -84,12 +53,10 @@ impl HaController {
     /// strategy computed off-line by FT-Search. The initial configuration is
     /// the componentwise-maximal one (safe until the first measurement).
     pub fn new(space: &ConfigSpace, strategy: ActivationStrategy) -> Self {
-        let index = ConfigIndex::new(space);
-        let current = space.max_config();
         Self {
             strategy,
-            index,
-            current,
+            space: space.clone(),
+            current: space.max_config(),
             switches: 0,
         }
     }
@@ -143,8 +110,8 @@ impl HaController {
     /// Replace the activation strategy in place (a *hot swap*, §4.6 taken
     /// online): the controller keeps its current configuration id — the new
     /// descriptor must declare the same configuration lattice, re-estimated
-    /// levels included — and rebuilds the R-tree index from `space` so
-    /// subsequent selections use the re-estimated rate levels. Returns the
+    /// levels included — and replaces its configuration space with `space`
+    /// so subsequent selections use the re-estimated rate levels. Returns the
     /// old strategy so the caller can diff old-vs-new activation and emit
     /// the minimal command set (see `laar-exec`'s `plan_swap`).
     ///
@@ -165,7 +132,7 @@ impl HaController {
         );
         assert_eq!(new.k(), self.strategy.k(), "swap shape: k");
         assert_eq!(space.num_configs(), new.num_configs(), "swap shape: space");
-        self.index = ConfigIndex::new(space);
+        self.space = space.clone();
         std::mem::replace(&mut self.strategy, new)
     }
 
@@ -173,7 +140,7 @@ impl HaController {
     /// returns the activation/deactivation commands for exactly the replicas
     /// whose state differs between the two configurations.
     pub fn on_measured_rates(&mut self, measured: &[f64]) -> Vec<Command> {
-        let next = self.index.select(measured);
+        let next = self.space.dominating_config(measured);
         if next == self.current {
             return Vec::new();
         }
@@ -206,6 +173,11 @@ mod tests {
     use laar_model::{ConfigSpace, GraphBuilder};
 
     fn space() -> ConfigSpace {
+        space_with(vec![4.0, 8.0])
+    }
+
+    /// A one-source, two-PE chain whose source has rate levels `levels`.
+    fn space_with(levels: Vec<f64>) -> ConfigSpace {
         let mut b = GraphBuilder::new();
         let s = b.add_source("s");
         let p1 = b.add_pe("p1");
@@ -215,7 +187,7 @@ mod tests {
         b.connect(p1, p2, 1.0, 100.0).unwrap();
         b.connect_sink(p2, k).unwrap();
         let g = b.build().unwrap();
-        ConfigSpace::new(&g, vec![vec![4.0, 8.0]], vec![0.8, 0.2]).unwrap()
+        ConfigSpace::new(&g, vec![levels], vec![0.8, 0.2]).unwrap()
     }
 
     /// Fig. 2b strategy: both replicas in Low, staggered singles in High.
@@ -267,10 +239,12 @@ mod tests {
 
     #[test]
     fn selection_never_underestimates() {
-        let ctl = HaController::new(&space(), fig2b_strategy());
+        let mut ctl = HaController::new(&space(), fig2b_strategy());
+        ctl.on_measured_rates(&[4.0]);
+        assert_eq!(ctl.current_config(), ConfigId(0), "Low covers 4.0");
         // 4.1 t/s must select High (4.0 would underestimate).
-        assert_eq!(ctl.index.select(&[4.1]), ConfigId(1));
-        assert_eq!(ctl.index.select(&[4.0]), ConfigId(0));
+        ctl.on_measured_rates(&[4.1]);
+        assert_eq!(ctl.current_config(), ConfigId(1));
     }
 
     #[test]
@@ -294,26 +268,19 @@ mod tests {
         let mut ctl = HaController::new(&space(), fig2b_strategy());
         ctl.on_measured_rates(&[3.5]);
         assert_eq!(ctl.current_config(), ConfigId(0));
-        // Re-estimated descriptor: the High level drifted from 8 to 12.
-        let mut b = GraphBuilder::new();
-        let s = b.add_source("s");
-        let p1 = b.add_pe("p1");
-        let p2 = b.add_pe("p2");
-        let k = b.add_sink("k");
-        b.connect(s, p1, 1.0, 100.0).unwrap();
-        b.connect(p1, p2, 1.0, 100.0).unwrap();
-        b.connect_sink(p2, k).unwrap();
-        let g = b.build().unwrap();
-        let est = ConfigSpace::new(&g, vec![vec![4.0, 12.0]], vec![0.8, 0.2]).unwrap();
+        // Re-estimated descriptor: both levels drifted up by half.
+        let est = space_with(vec![6.0, 12.0]);
         let old = ctl.swap_strategy(&est, ActivationStrategy::all_active(2, 2, 2));
         assert_eq!(old, fig2b_strategy());
         assert_eq!(ctl.current_config(), ConfigId(0), "config id preserved");
         assert_eq!(ctl.switches(), 1, "a swap is not a config switch");
-        // Selection now uses the re-estimated levels: 10 t/s dominates
-        // nothing in the stale space but is within the new High level.
-        assert_eq!(ctl.index.select(&[10.0]), ConfigId(1));
+        // Selection now uses the re-estimated levels: 5 t/s needed High in
+        // the stale space and is within the new Low level.
+        assert!(ctl.on_measured_rates(&[5.0]).is_empty());
+        assert_eq!(ctl.current_config(), ConfigId(0));
         ctl.on_measured_rates(&[10.0]);
         assert_eq!(ctl.current_config(), ConfigId(1));
+        assert_eq!(ctl.switches(), 2);
     }
 
     #[test]

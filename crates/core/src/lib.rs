@@ -3,7 +3,7 @@
 //! The primary contribution of the LAAR paper (EDBT 2014): the internal
 //! completeness (IC) metric, the cost model, the FT-Search optimizer, the
 //! baseline replication variants, and the runtime control plane
-//! (rate monitor + HAController with its R-tree configuration index).
+//! (rate monitor + HAController).
 
 #![warn(missing_docs)]
 
@@ -15,12 +15,11 @@ pub mod ic;
 pub mod monitor;
 pub mod placement_opt;
 pub mod problem;
-pub mod rtree;
 #[doc(hidden)]
 pub mod testutil;
 pub mod variants;
 
-pub use controller::{Command, ConfigIndex, HaController, ReplicaSlot};
+pub use controller::{Command, HaController, ReplicaSlot};
 pub use cost::CostModel;
 pub use error::{CoreError, Violation};
 pub use ftsearch::{FtSearchConfig, Outcome, SearchReport, SearchStats, Solution};
@@ -31,7 +30,6 @@ pub use ic::{
 pub use monitor::RateMonitor;
 pub use placement_opt::{optimize_placement, PlacementSearchConfig, PlacementSearchResult};
 pub use problem::Problem;
-pub use rtree::RTree;
 pub use variants::{
     greedy, non_replicated, peak_config, static_replication, GreedyResult, VariantKind,
 };

@@ -9,10 +9,14 @@
 use crate::config::ConfigSpace;
 use crate::error::ModelError;
 use crate::graph::ApplicationGraph;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A validated stream processing application with its descriptor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization goes through [`Application::new`] (and the
+/// configuration space through [`ConfigSpace::new`]'s checks), so a
+/// contract read from JSON is checked like one built in code.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Application {
     /// Application name (used in corpus reports).
     pub name: String,
@@ -35,7 +39,7 @@ impl Application {
         if !(billing_period.is_finite() && billing_period > 0.0) {
             return Err(ModelError::InvalidBillingPeriod(billing_period));
         }
-        if configs.num_sources() != graph.num_sources() {
+        if configs.source_ids() != graph.sources() {
             return Err(ModelError::InvalidRateSet(u32::MAX));
         }
         Ok(Self {
@@ -72,6 +76,23 @@ impl Application {
     /// Parse a contract back from JSON.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
+    }
+}
+
+impl Deserialize for Application {
+    fn deser(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("Application object", v))?;
+        let field = |name| obj.get(name).unwrap_or(&Value::Null);
+        let name: String = Deserialize::deser(field("name"))?;
+        Self::new(
+            &name,
+            Deserialize::deser(field("graph"))?,
+            Deserialize::deser(field("configs"))?,
+            Deserialize::deser(field("billing_period"))?,
+        )
+        .map_err(|e| DeError(e.to_string()))
     }
 }
 
@@ -113,5 +134,45 @@ mod tests {
         let j = a.to_json_pretty();
         let a2 = Application::from_json(&j).unwrap();
         assert_eq!(a, a2);
+    }
+
+    /// The compact contract with `from` (which must occur) replaced by `to`.
+    fn edited(from: &str, to: &str) -> Result<Application, serde_json::Error> {
+        let j = serde_json::to_string(&app()).unwrap();
+        assert!(j.contains(from), "{from} not in {j}");
+        Application::from_json(&j.replace(from, to))
+    }
+
+    #[test]
+    fn contract_json_is_checked_like_the_constructors() {
+        let probs = "\"probs\":[0.8,0.2]";
+        let rates = "\"rates\":[[4,8]]";
+        let rejected = [
+            (
+                "\"probs\":[0.8,0.2],\"rates\":[[4,8]]",
+                "\"probs\":[1],\"rates\":[[]]",
+                "empty or invalid rate set",
+            ),
+            (probs, "\"probs\":[0.9,0.9]", "sum to 1.8"),
+            (rates, "\"rates\":[[-5,8]]", "empty or invalid rate set"),
+            (probs, "\"probs\":[1]", "has length 1, expected 2"),
+            (
+                "\"rates\":[[4,8]],\"source_ids\":[0]",
+                "\"rates\":[[4,8],[1]],\"source_ids\":[0,1]",
+                "empty or invalid rate set",
+            ),
+            (
+                "\"source_ids\":[0]",
+                "\"source_ids\":[9]",
+                "empty or invalid rate set",
+            ),
+            ("\"billing_period\":300", "\"billing_period\":0", "billing"),
+        ];
+        for (from, to, why) in rejected {
+            let err = edited(from, to).unwrap_err().to_string();
+            assert!(err.contains(why), "{to}: {err}");
+        }
+        // Strides are recomputed, never read.
+        assert_eq!(edited("\"strides\":[1]", "\"strides\":[7]").unwrap(), app());
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::error::ModelError;
 use crate::graph::{ApplicationGraph, ComponentId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Identifier of an input configuration: a flat index into the Cartesian
 /// product of the per-source rate sets (mixed-radix encoding, first source is
@@ -25,7 +25,10 @@ impl ConfigId {
 
 /// The discrete space of input configurations with its probability mass
 /// function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization runs the checks of [`ConfigSpace::new`] and recomputes
+/// the strides; the serialized `strides` are never read.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConfigSpace {
     /// Sources, in the order their rates are encoded (must match the graph's
     /// dense source order).
@@ -50,7 +53,15 @@ impl ConfigSpace {
         rates: Vec<Vec<f64>>,
         probs: Vec<f64>,
     ) -> Result<Self, ModelError> {
-        let source_ids: Vec<ComponentId> = graph.sources().to_vec();
+        Self::from_parts(graph.sources().to_vec(), rates, probs)
+    }
+
+    /// The checks behind [`ConfigSpace::new`] and deserialization.
+    fn from_parts(
+        source_ids: Vec<ComponentId>,
+        rates: Vec<Vec<f64>>,
+        probs: Vec<f64>,
+    ) -> Result<Self, ModelError> {
         if rates.len() != source_ids.len() {
             return Err(ModelError::InvalidRateSet(u32::MAX));
         }
@@ -93,25 +104,17 @@ impl ConfigSpace {
         graph: &ApplicationGraph,
         per_source: Vec<Vec<(f64, f64)>>,
     ) -> Result<Self, ModelError> {
-        let rates: Vec<Vec<f64>> = per_source
+        let rates = per_source
             .iter()
-            .map(|s| s.iter().map(|(r, _)| *r).collect())
+            .map(|s| s.iter().map(|&(r, _)| r).collect())
             .collect();
-        let total: usize = rates.iter().map(Vec::len).product::<usize>().max(1);
-        let mut probs = vec![1.0f64; total];
-        // Mixed-radix walk over the product, multiplying marginals.
-        for (flat, p) in probs.iter_mut().enumerate() {
-            let mut rem = flat;
-            for (i, s) in per_source.iter().enumerate() {
-                let stride: usize = per_source[i + 1..]
-                    .iter()
-                    .map(Vec::len)
-                    .product::<usize>()
-                    .max(1);
-                let idx = rem / stride;
-                rem %= stride;
-                *p *= s[idx].1;
-            }
+        // Mixed-radix order: each source splits every entry built so far.
+        let mut probs = vec![1.0f64];
+        for s in &per_source {
+            probs = probs
+                .iter()
+                .flat_map(|&p| s.iter().map(move |&(_, q)| p * q))
+                .collect();
         }
         Self::new(graph, rates, probs)
     }
@@ -171,29 +174,66 @@ impl ConfigSpace {
             .collect()
     }
 
-    /// The configuration id for a vector of per-source rate indices.
-    pub fn config_from_indices(&self, indices: &[usize]) -> ConfigId {
-        debug_assert_eq!(indices.len(), self.num_sources());
-        let flat: usize = indices.iter().zip(&self.strides).map(|(i, s)| i * s).sum();
+    /// The configuration id for per-source rate indices, one per source in
+    /// encoding order.
+    pub fn config_from_indices(&self, indices: impl IntoIterator<Item = usize>) -> ConfigId {
+        let flat: usize = indices
+            .into_iter()
+            .zip(&self.strides)
+            .map(|(i, s)| i * s)
+            .sum();
         ConfigId(flat as u32)
     }
 
     /// The configuration whose rate vector dominates every other one
-    /// (componentwise max). This is the safe fallback when measured rates
-    /// exceed all declared configurations.
+    /// (componentwise max; a repeated maximum takes its highest level
+    /// index). This is the safe fallback when measured rates exceed all
+    /// declared configurations.
     pub fn max_config(&self) -> ConfigId {
-        let indices: Vec<usize> = self
-            .rates
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect();
-        self.config_from_indices(&indices)
+        self.config_from_indices(self.rates.iter().map(|levels| {
+            let mut top = 0;
+            for (l, &v) in levels.iter().enumerate() {
+                if v >= levels[top] {
+                    top = l;
+                }
+            }
+            top
+        }))
+    }
+
+    /// The configuration the HAController assumes for `measured` source
+    /// rates (§4.6): the one whose rate vector dominates them (every
+    /// component `≥`) with minimal L1 slack `Σ (cᵢ − mᵢ)`, or
+    /// [`max_config`](Self::max_config) when none dominates — a NaN or +∞
+    /// measurement included.
+    ///
+    /// The space is the full product `R₁ × … × Rₜ` and the slack is a sum
+    /// of one term per source, monotone in that source's level, so the
+    /// minimum is one choice per source: the smallest declared level `≥`
+    /// the measured rate. Levels need not be sorted; a repeated level goes
+    /// to its lowest index.
+    ///
+    /// # Panics
+    ///
+    /// If `measured` does not hold one rate per source.
+    pub fn dominating_config(&self, measured: &[f64]) -> ConfigId {
+        assert_eq!(measured.len(), self.num_sources());
+        let mut flat = 0usize;
+        for ((levels, &m), stride) in self.rates.iter().zip(measured).zip(&self.strides) {
+            let mut pick = None;
+            let mut pick_v = f64::INFINITY;
+            for (l, &v) in levels.iter().enumerate() {
+                if v >= m && v < pick_v {
+                    pick = Some(l);
+                    pick_v = v;
+                }
+            }
+            let Some(l) = pick else {
+                return self.max_config();
+            };
+            flat += l * stride;
+        }
+        ConfigId(flat as u32)
     }
 
     /// Expected (probability-weighted) rate of source `source_idx`.
@@ -201,6 +241,21 @@ impl ConfigSpace {
         self.configs()
             .map(|c| self.prob(c) * self.source_rate(source_idx, c))
             .sum()
+    }
+}
+
+impl Deserialize for ConfigSpace {
+    fn deser(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("ConfigSpace object", v))?;
+        let field = |name| obj.get(name).unwrap_or(&Value::Null);
+        Self::from_parts(
+            Deserialize::deser(field("source_ids"))?,
+            Deserialize::deser(field("rates"))?,
+            Deserialize::deser(field("probs"))?,
+        )
+        .map_err(|e| DeError(e.to_string()))
     }
 }
 
@@ -269,8 +324,10 @@ mod tests {
         )
         .unwrap();
         for c in cs.configs() {
-            let idx: Vec<usize> = (0..2).map(|i| cs.rate_index(i, c)).collect();
-            assert_eq!(cs.config_from_indices(&idx), c);
+            assert_eq!(
+                cs.config_from_indices((0..2).map(|i| cs.rate_index(i, c))),
+                c
+            );
         }
     }
 
@@ -284,6 +341,8 @@ mod tests {
         .unwrap();
         assert_eq!(cs.num_configs(), 4);
         assert!((cs.prob(ConfigId(0)) - 0.4).abs() < 1e-12);
+        // The first source is the most significant digit.
+        assert!((cs.prob(ConfigId(1)) - 0.4).abs() < 1e-12);
         assert!((cs.prob(ConfigId(3)) - 0.1).abs() < 1e-12);
         let total: f64 = cs.configs().map(|c| cs.prob(c)).sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -306,6 +365,46 @@ mod tests {
                 assert!(a >= b);
             }
         }
+    }
+
+    #[test]
+    fn dominating_config_snaps_each_source_to_its_smallest_covering_level() {
+        let g = graph_two_sources();
+        let cs = ConfigSpace::new(
+            &g,
+            vec![vec![2.0, 1.0], vec![10.0, 30.0, 20.0]],
+            vec![1.0 / 6.0; 6],
+        )
+        .unwrap();
+        let pick = |m: &[f64]| cs.rate_vector(cs.dominating_config(m));
+        assert_eq!(pick(&[1.5, 15.0]), vec![2.0, 20.0]);
+        assert_eq!(pick(&[0.5, 10.0]), vec![1.0, 10.0]);
+        assert_eq!(pick(&[1.0, 20.0]), vec![1.0, 20.0], "a level covers itself");
+        assert_eq!(pick(&[0.0, 20.5]), vec![1.0, 30.0]);
+        // Above every level of one source: the componentwise max, not a
+        // per-source clamp.
+        assert_eq!(cs.dominating_config(&[2.5, 10.0]), cs.max_config());
+    }
+
+    #[test]
+    fn non_finite_measurements_select_max_config() {
+        let g = graph_two_sources();
+        let cs = ConfigSpace::new(&g, vec![vec![4.0, 8.0], vec![1.0, 2.0]], vec![0.25; 4]).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(cs.dominating_config(&[bad, 1.0]), cs.max_config());
+            assert_eq!(cs.dominating_config(&[4.0, bad]), cs.max_config());
+        }
+        assert_eq!(cs.dominating_config(&[f64::NEG_INFINITY, 1.0]), ConfigId(0));
+    }
+
+    #[test]
+    fn repeated_level_goes_to_its_lowest_index() {
+        let g = graph_one_source();
+        let cs = ConfigSpace::new(&g, vec![vec![2.0, 8.0, 8.0]], vec![0.5, 0.25, 0.25]).unwrap();
+        assert_eq!(cs.dominating_config(&[5.0]), ConfigId(1));
+        assert_eq!(cs.dominating_config(&[8.0]), ConfigId(1));
+        // `max_config` keeps its highest-index rule.
+        assert_eq!(cs.max_config(), ConfigId(2));
     }
 
     #[test]
@@ -342,5 +441,23 @@ mod tests {
         let s = serde_json::to_string(&cs).unwrap();
         let cs2: ConfigSpace = serde_json::from_str(&s).unwrap();
         assert_eq!(cs, cs2);
+    }
+
+    #[test]
+    fn deserialization_validates_and_recomputes_strides() {
+        let g = graph_two_sources();
+        let cs = ConfigSpace::new(
+            &g,
+            vec![vec![1.0, 2.0], vec![10.0, 20.0, 30.0]],
+            vec![1.0 / 6.0; 6],
+        )
+        .unwrap();
+        let s = serde_json::to_string(&cs).unwrap();
+        assert!(s.contains("\"strides\":[3,1]"), "{s}");
+        let edited: ConfigSpace =
+            serde_json::from_str(&s.replace("\"strides\":[3,1]", "\"strides\":[7,0]")).unwrap();
+        assert_eq!(edited, cs);
+        let bad = s.replace("\"rates\":[[1,2],", "\"rates\":[[1,-5],");
+        assert!(serde_json::from_str::<ConfigSpace>(&bad).is_err());
     }
 }

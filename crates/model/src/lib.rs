@@ -11,7 +11,8 @@
 //!   data sources, processing elements (PEs), and data sinks, with edge
 //!   annotations for selectivity `δ` and per-tuple CPU cost `γ`;
 //! * [`config::ConfigSpace`] — the finite set of *input configurations*
-//!   `C = R₁ × … × Rₜ` with its probability mass function `P_C`;
+//!   `C = R₁ × … × Rₜ` with its probability mass function `P_C`, and the
+//!   HAController's lookup of the dominating configuration;
 //! * [`placement::Placement`] — the replicated assignment `ϑ : P̃ → H` of
 //!   `k` replicas of each PE to hosts with CPU capacity `K`;
 //! * [`strategy::ActivationStrategy`] — the replica activation strategy

@@ -18,7 +18,7 @@
 //!   configurations, placements, activation strategies;
 //! * [`core`] (`laar-core`) — the IC metric, cost model, the FT-Search
 //!   optimizer (plus an exact decomposed solver), baseline variants, and
-//!   the runtime control plane (rate monitor, HAController, R-tree);
+//!   the runtime control plane (rate monitor, HAController);
 //! * [`exec`] (`laar-exec`) — the backend-agnostic execution core: the
 //!   replica/HA state machine, HAProxy command/election protocol, the
 //!   monitor/controller decision loop, failure plans, and the tuple

@@ -1,9 +1,9 @@
 //! Property-based tests of the optimizer layer: IC bounds and
 //! monotonicity, cost monotonicity, solver-solution validity, greedy
-//! invariants, and R-tree query correctness against brute force.
+//! invariants, and the HAController's dominating-configuration lookup
+//! against brute force.
 
 use laar::prelude::*;
-use laar_core::rtree::RTree;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -48,6 +48,76 @@ fn random_strategy(problem: &Problem, seed: u64) -> ActivationStrategy {
         }
     }
     s
+}
+
+/// Per-source rate levels of a product space: 1–4 sources with 1–4 levels
+/// each, unsorted, drawn from a coarse grid (so levels repeat), from a
+/// continuous range, or one ulp above the source's previous level.
+fn arb_levels() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u32..3, 0u32..8, 0.0f64..20.0), 1..5),
+        1..5,
+    )
+    .prop_map(|sources| {
+        sources
+            .into_iter()
+            .map(|draws| {
+                let mut levels: Vec<f64> = Vec::new();
+                for (kind, k, x) in draws {
+                    let v = match (kind, levels.last()) {
+                        (1, _) => x,
+                        (2, Some(prev)) => prev.next_up(),
+                        _ => k as f64 * 1.5,
+                    };
+                    levels.push(v);
+                }
+                levels
+            })
+            .collect()
+    })
+}
+
+/// The product space over `rates`: one source per level set, all feeding
+/// one PE, uniform probabilities.
+fn product_space(rates: Vec<Vec<f64>>) -> ConfigSpace {
+    let mut b = GraphBuilder::new();
+    let pe = b.add_pe("pe");
+    let sink = b.add_sink("sink");
+    for i in 0..rates.len() {
+        let s = b.add_source(&format!("s{i}"));
+        b.connect(s, pe, 1.0, 1.0).unwrap();
+    }
+    b.connect_sink(pe, sink).unwrap();
+    let n: usize = rates.iter().map(Vec::len).product();
+    ConfigSpace::new(&b.build().unwrap(), rates, vec![1.0 / n as f64; n]).unwrap()
+}
+
+/// A measured rate vector, one `(kind, a, b)` draw per source: at level
+/// `a`, one ulp below or above it, between levels `a` and `b`, at zero,
+/// above every level, NaN or +∞.
+fn query(cs: &ConfigSpace, draws: &[(u32, usize, usize)]) -> Vec<f64> {
+    (0..cs.num_sources())
+        .map(|s| {
+            let r = cs.rate_set(s);
+            let (kind, a, b) = draws[s];
+            let (x, y) = (r[a % r.len()], r[b % r.len()]);
+            match kind {
+                0..=3 => x,
+                4 | 5 => x.next_down(),
+                6 | 7 => x.next_up(),
+                8..=10 => (x + y) / 2.0,
+                11 | 12 => 0.0,
+                13 => r.iter().fold(0.0, |m: f64, &v| m.max(v)) + 1.0,
+                14 => f64::NAN,
+                _ => f64::INFINITY,
+            }
+        })
+        .collect()
+}
+
+/// The L1 slack `Σ (vᵢ − qᵢ)`, summed left to right.
+fn slack(v: &[f64], q: &[f64]) -> f64 {
+    v.iter().zip(q).fold(0.0, |s, (a, b)| s + (a - b))
 }
 
 proptest! {
@@ -138,28 +208,42 @@ proptest! {
         }
     }
 
+    // Keeps the name it had under the R-tree the per-source snap replaced.
     #[test]
     fn rtree_matches_brute_force(
-        points in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..100.0, 2), 1..60),
-        query in proptest::collection::vec(0.0f64..110.0, 2),
+        rates in arb_levels(),
+        queries in proptest::collection::vec(
+            proptest::collection::vec((0u32..16, 0usize..4, 0usize..4), 4), 64),
     ) {
-        let entries: Vec<(Vec<f64>, ConfigId)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), ConfigId(i as u32)))
-            .collect();
-        let tree = RTree::bulk_load(entries.clone());
-        let got = tree.dominating_min_slack(&query).map(|(_, s)| s);
-        let want = entries
-            .iter()
-            .filter(|(p, _)| p.iter().zip(&query).all(|(a, b)| a >= b))
-            .map(|(p, _)| p.iter().zip(&query).map(|(a, b)| a - b).sum::<f64>())
-            .min_by(|a, b| a.partial_cmp(b).unwrap());
-        match (got, want) {
-            (Some(g), Some(w)) => prop_assert!((g - w).abs() < 1e-9),
-            (None, None) => {}
-            (g, w) => prop_assert!(false, "mismatch {g:?} vs {w:?}"),
+        let cs = product_space(rates);
+        for draws in &queries {
+            let q = query(&cs, draws);
+            let got = cs.dominating_config(&q);
+            // Brute force: every dominating configuration, in id order.
+            let dominating: Vec<(ConfigId, Vec<f64>, f64)> = cs
+                .configs()
+                .map(|c| (c, cs.rate_vector(c)))
+                .filter(|(_, v)| v.iter().zip(&q).all(|(a, b)| a >= b))
+                .map(|(c, v)| {
+                    let s = slack(&v, &q);
+                    (c, v, s)
+                })
+                .collect();
+            let Some(min) = dominating.iter().map(|d| d.2).min_by(f64::total_cmp) else {
+                prop_assert_eq!(got, cs.max_config());
+                continue;
+            };
+            let got_v = cs.rate_vector(got);
+            prop_assert!(got_v.iter().zip(&q).all(|(a, b)| a >= b), "{got_v:?} vs {q:?}");
+            prop_assert_eq!(slack(&got_v, &q).to_bits(), min.to_bits());
+            // The id is pinned where one rate vector attains the minimum: the
+            // first such id, i.e. the lowest index of a repeated level. Where
+            // f64 absorption ties different vectors, any of them is exact.
+            let mut minimal = dominating.iter().filter(|d| d.2 == min);
+            let first = minimal.next().expect("the minimum is attained");
+            if minimal.all(|d| d.1 == first.1) {
+                prop_assert_eq!(got, first.0);
+            }
         }
     }
 
@@ -167,8 +251,7 @@ proptest! {
     fn controller_selection_never_underestimates((seed, np, nh, _ic) in arb_problem(), q in 0.0f64..40.0) {
         let p = make_problem(seed, np, nh, 0.0);
         let cs = p.app.configs();
-        let ctl = laar_core::ConfigIndex::new(cs);
-        let chosen = ctl.select(&[q]);
+        let chosen = cs.dominating_config(&[q]);
         let rate = cs.source_rate(0, chosen);
         // Either the chosen configuration dominates the measurement, or the
         // measurement exceeds every declared rate and the max config is
