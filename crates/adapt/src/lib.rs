@@ -12,9 +12,9 @@
 //!    against the declared rate levels, with hysteresis bands and
 //!    quantized re-estimation (deterministic across engines);
 //! 2. [`replan`] — FT-Search warm-started from the incumbent strategy
-//!    under a deterministic anytime node budget, with an exact
-//!    penalty-model fallback when the corrected descriptor is infeasible
-//!    at the contracted IC;
+//!    under a deterministic anytime node budget, with a penalty-model
+//!    fallback (the same engine and budget, the IC goal priced instead of
+//!    required) when that pass finds no strategy at the contracted IC;
 //! 3. [`AdaptiveController`] — the decision policy gluing them together:
 //!    when to check, when to re-plan, and whether the re-planned strategy
 //!    is enough of an improvement to justify a live hot-swap (executed by

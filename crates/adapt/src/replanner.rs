@@ -16,14 +16,18 @@
 //! the same problem to the same node count and therefore install the
 //! identical strategy, machine speed notwithstanding.
 //!
-//! When the corrected descriptor admits no strategy at the contracted IC
-//! at all (drift pushed some configuration past the cluster's CPU), the
-//! re-planner falls back to the exact penalty model
-//! ([`laar_core::ftsearch::solve_soft`]): the SLA becomes a priced
-//! objective term and the least-violating strategy is returned, which
-//! still beats riding the stale strategy into queue overflow.
+//! When that pass ends with no strategy at the contracted IC (drift pushed
+//! some configuration past what the cluster's CPU can replicate, or the
+//! budget ran out first), the re-planner runs the same engine once more
+//! under the penalty model ([`Objective::Penalty`] with
+//! [`ReplanConfig::soft_penalty`]), with the same warm start and the same
+//! node budget: the SLA becomes a priced objective term, every strategy
+//! that fits the cluster is a solution, and the least-violating one found
+//! is returned, which still beats riding the stale strategy into queue
+//! overflow. The fallback is metered in nodes like the first pass, so it
+//! is deterministic too.
 
-use laar_core::ftsearch::{self, FtSearchConfig, SearchMode};
+use laar_core::ftsearch::{self, FtSearchConfig, Objective, SearchMode};
 use laar_core::Problem;
 use laar_model::ActivationStrategy;
 use std::time::Duration;
@@ -34,10 +38,12 @@ pub struct ReplanConfig {
     /// Deterministic anytime budget: FT-Search stops after this many
     /// search-tree nodes (reproducible across machines and engines).
     pub node_limit: u64,
-    /// Wall-clock backstop; sized so the node limit binds first.
+    /// Wall-clock backstop of each pass; sized so the node limit binds
+    /// first.
     pub time_limit: Duration,
-    /// Penalty rate (cost units per tuple/s of FIC shortfall) for the
-    /// soft fallback when the re-estimated problem is infeasible.
+    /// Penalty rate `λ` (cost-rate units per tuple/s of FIC shortfall) of
+    /// the soft fallback when the hard pass finds no strategy. Must be
+    /// finite and non-negative.
     pub soft_penalty: f64,
 }
 
@@ -61,60 +67,63 @@ pub struct ReplanResult {
     pub planned_cost: f64,
     /// Its guaranteed IC (eq. 14) under the re-estimated descriptor.
     pub planned_ic: f64,
-    /// FT-Search outcome label (`BST`/`SOL`), or `SFT` for the soft
-    /// fallback.
+    /// FT-Search outcome label (`BST`/`SOL`) of the pass that produced the
+    /// strategy.
     pub label: &'static str,
-    /// Search-tree nodes visited.
+    /// Search-tree nodes visited by the pass that produced the strategy
+    /// (at most [`ReplanConfig::node_limit`]).
     pub nodes: u64,
-    /// Wall-clock time of the pass (reporting only — never feeds back
-    /// into control decisions, which stay deterministic).
+    /// Wall-clock time of the whole re-plan, both passes when the fallback
+    /// ran (reporting only — never feeds back into control decisions,
+    /// which stay deterministic).
     pub wall: Duration,
-    /// Wall-clock time at which the returned strategy was found.
+    /// Wall-clock time from the start of the re-plan at which the returned
+    /// strategy was found.
     pub time_to_best: Duration,
     /// `true` when the soft (penalty-model) fallback produced the result.
     pub soft: bool,
 }
 
 /// Re-plan `problem` (already built on the re-estimated descriptor),
-/// warm-starting from `incumbent`. Returns `None` when even the soft
-/// fallback finds nothing within budget (e.g. some configuration cannot
-/// fit on the cluster under any activation).
+/// warm-starting from `incumbent`. Returns `None` when neither pass finds a
+/// strategy within budget (no activation fits some configuration on the
+/// cluster), or when the problem is not one FT-Search accepts (`k ≠ 2`, a
+/// bad [`ReplanConfig::soft_penalty`]).
 pub fn replan(
     problem: &Problem,
     incumbent: &ActivationStrategy,
     cfg: &ReplanConfig,
 ) -> Option<ReplanResult> {
-    let opts = FtSearchConfig {
+    let hard = FtSearchConfig {
         node_limit: Some(cfg.node_limit),
         time_limit: cfg.time_limit,
         mode: SearchMode::Portfolio,
         ..FtSearchConfig::default()
     };
-    let report = ftsearch::solve_with_warm_start(problem, &opts, Some(incumbent)).ok()?;
-    if let Some(sol) = report.outcome.solution() {
-        return Some(ReplanResult {
-            strategy: sol.strategy.clone(),
-            planned_cost: sol.cost_cycles,
-            planned_ic: sol.ic,
-            label: report.outcome.label(),
-            nodes: report.stats.nodes,
-            wall: report.stats.elapsed,
-            time_to_best: report.stats.time_to_best.unwrap_or(report.stats.elapsed),
-            soft: false,
-        });
-    }
-    // Hard-infeasible (or budget exhausted with nothing): price the SLA
-    // instead and install the least-violating strategy.
-    let soft = ftsearch::solve_soft(problem, cfg.soft_penalty, cfg.time_limit).ok()??;
+    let pass =
+        |opts: &FtSearchConfig| ftsearch::solve_with_warm_start(problem, opts, Some(incumbent));
+    let first = pass(&hard).ok()?;
+    let (report, before, soft) = if first.outcome.solution().is_some() {
+        (first, Duration::ZERO, false)
+    } else {
+        // No strategy meets the IC goal: price the SLA instead and
+        // install the least-violating strategy.
+        let penalty = FtSearchConfig {
+            objective: Objective::Penalty(cfg.soft_penalty),
+            ..hard
+        };
+        (pass(&penalty).ok()?, first.stats.elapsed, true)
+    };
+    let sol = report.outcome.solution()?;
     Some(ReplanResult {
-        strategy: soft.solution.strategy.clone(),
-        planned_cost: soft.solution.cost_cycles,
-        planned_ic: soft.solution.ic,
-        label: "SFT",
+        strategy: sol.strategy.clone(),
+        planned_cost: sol.cost_cycles,
+        planned_ic: sol.ic,
+        label: report.outcome.label(),
         nodes: report.stats.nodes,
-        wall: report.stats.elapsed,
-        time_to_best: report.stats.elapsed,
-        soft: true,
+        wall: before + report.stats.elapsed,
+        time_to_best: before + report.stats.time_to_best.unwrap_or(report.stats.elapsed),
+        soft,
     })
 }
 
@@ -142,17 +151,49 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_problem_takes_the_soft_fallback() {
+    fn infeasible_problem_takes_the_penalty_optimum() {
         // IC 1.0 with the fig2 cluster at High is impossible with hard
         // constraints (all-active overloads both hosts).
         let p = fig2_problem(1.0);
         let sr = laar_core::static_replication(&p);
-        let r = replan(&p, &sr, &ReplanConfig::default()).unwrap();
+        let cfg = ReplanConfig::default();
+        let r = replan(&p, &sr, &cfg).unwrap();
         assert!(r.soft);
-        assert_eq!(r.label, "SFT");
+        assert_eq!(r.label, "BST", "the fallback proves its optimum");
         assert!(
             p.check(&r.strategy).len() <= 1,
             "only the IC may fall short"
         );
+        // The same optimum as an unbudgeted penalty solve of the
+        // deterministic engine.
+        let opts = FtSearchConfig {
+            objective: Objective::Penalty(cfg.soft_penalty),
+            ..FtSearchConfig::default()
+        };
+        let best = ftsearch::solve(&p, &opts).unwrap();
+        assert_eq!(best.outcome.label(), "BST");
+        let best = best.outcome.solution().unwrap();
+        assert_eq!(r.planned_ic, best.ic);
+        assert_eq!(r.planned_cost, best.cost_cycles);
+    }
+
+    #[test]
+    fn fallback_is_deterministic_and_stays_in_budget() {
+        // A 24-PE chain at IC 0.99: no strategy meets the goal, and the
+        // penalty pass cannot prove its optimum in the budget.
+        let p = laar_core::testutil::chain_problem(24, 4, 0.99);
+        let sr = laar_core::static_replication(&p);
+        let cfg = ReplanConfig {
+            node_limit: 5_000,
+            ..ReplanConfig::default()
+        };
+        let a = replan(&p, &sr, &cfg).unwrap();
+        let b = replan(&p, &sr, &cfg).unwrap();
+        assert!(a.soft);
+        assert!(a.nodes <= cfg.node_limit, "{} nodes", a.nodes);
+        assert!(a.nodes > 0);
+        assert_eq!(a.strategy, b.strategy);
+        assert_eq!(a.nodes, b.nodes);
+        assert_eq!(a.planned_cost.to_bits(), b.planned_cost.to_bits());
     }
 }

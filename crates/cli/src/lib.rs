@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 use laar_adapt::{AdaptConfig, AdaptReport};
-use laar_core::ftsearch::{self, FtSearchConfig, Outcome};
+use laar_core::ftsearch::{self, FtSearchConfig, Objective, Outcome};
 use laar_core::{CoreError, Problem};
 use laar_dsps::profiler::{descriptor_error, profile_application};
 use laar_dsps::{FailurePlan, InputTrace, SimConfig, SimMetrics, Simulation};
@@ -105,13 +105,14 @@ pub fn cmd_generate(
 pub struct SolveOutput {
     /// The strategy (also rendered to the HAController JSON by the caller).
     pub strategy: ActivationStrategy,
-    /// Outcome label (BST/SOL).
+    /// Outcome label (BST/SOL, or SOFT for the penalty model).
     pub label: String,
     /// Guaranteed IC.
     pub ic: f64,
     /// Expected cost per eq. 13.
     pub cost_cycles: f64,
-    /// IC shortfall when solving in soft (penalty) mode.
+    /// FIC shortfall (tuples/s below the IC goal) when solving in soft
+    /// (penalty) mode.
     pub ic_shortfall: Option<f64>,
 }
 
@@ -125,35 +126,30 @@ pub fn cmd_solve(
     soft_penalty: Option<f64>,
 ) -> Result<SolveOutput, CliError> {
     let problem = Problem::new(app.clone(), placement.clone(), ic_requirement).map_err(message)?;
-    if let Some(lambda) = soft_penalty {
-        let soft = ftsearch::solve_soft(&problem, lambda, time_limit)
-            .map_err(|e| match e {
-                CoreError::InvalidPenaltyRate(_) => {
-                    CliError::Message(format!("bad --soft {lambda}: {e}"))
-                }
-                e => message(e),
-            })?
-            .ok_or_else(|| {
-                CliError::Message(
-                    "soft solve timed out or the deployment cannot fit the application".to_owned(),
-                )
-            })?;
-        return Ok(SolveOutput {
-            label: "SOFT".to_owned(),
-            ic: soft.solution.ic,
-            cost_cycles: soft.solution.cost_cycles,
-            ic_shortfall: Some(soft.ic_shortfall_rate),
-            strategy: soft.solution.strategy,
-        });
-    }
-    let report =
-        ftsearch::solve(&problem, &FtSearchConfig::with_time_limit(time_limit)).map_err(message)?;
+    let opts = FtSearchConfig {
+        objective: soft_penalty.map_or(Objective::Hard, Objective::Penalty),
+        ..FtSearchConfig::with_time_limit(time_limit)
+    };
+    let report = ftsearch::solve(&problem, &opts).map_err(|e| match e {
+        CoreError::InvalidPenaltyRate(lambda) => {
+            CliError::Message(format!("bad --soft {lambda}: {e}"))
+        }
+        e => message(e),
+    })?;
     match report.outcome {
         Outcome::Optimal(s) | Outcome::Feasible(s) => Ok(SolveOutput {
-            label: if report.stats.proved { "BST" } else { "SOL" }.to_owned(),
+            label: match (soft_penalty, report.stats.proved) {
+                (Some(_), _) => "SOFT",
+                (None, true) => "BST",
+                (None, false) => "SOL",
+            }
+            .to_owned(),
             ic: s.ic,
             cost_cycles: s.cost_cycles,
-            ic_shortfall: None,
+            ic_shortfall: soft_penalty.map(|_| {
+                let bic_rate = problem.ic_evaluator().bic() / app.billing_period();
+                (ic_requirement - s.ic).max(0.0) * bic_rate
+            }),
             strategy: s.strategy,
         }),
         Outcome::Infeasible => Err(CliError::Message(match report.stats.root_conflict {
@@ -174,6 +170,9 @@ pub fn cmd_solve(
                     rc.capacities[0],
                     rc.capacities[1],
                 )
+            }
+            None if soft_penalty.is_some() => {
+                "infeasible: no activation strategy fits this deployment's CPU capacity".to_owned()
             }
             None => format!(
                 "no strategy can guarantee IC {ic_requirement} on this deployment \

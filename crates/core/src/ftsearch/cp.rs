@@ -11,7 +11,9 @@
 
 use super::nogood::NogoodStore;
 use super::prep::Prep;
-use super::search::{evaluate_assignment, priority_order, Engine, RawSolution, Val, ValuePolicy};
+use super::search::{
+    admit, evaluate_assignment, priority_order, Engine, RawSolution, Val, ValuePolicy,
+};
 use super::stats::SearchStats;
 use super::{better_solution, FtSearchConfig, SharedBest};
 use rand::{Rng, SeedableRng, StdRng};
@@ -93,8 +95,9 @@ pub(crate) fn build_order(prep: &Prep, act: &Activity) -> Vec<u32> {
 /// the per-variable weight `w_ic` misses, which is what lets this dive find
 /// feasible incumbents on instances where `greedy_seed` gives up (it cannot
 /// migrate singles at all). Deterministic; returns `None` when repair gets
-/// stuck or the repaired assignment misses the IC goal.
-pub(crate) fn repair_seed(prep: &Prep) -> Option<RawSolution> {
+/// stuck or, under the hard objective (`lambda` is `None`), when the
+/// repaired assignment misses the IC goal.
+pub(crate) fn repair_seed(prep: &Prep, lambda: Option<f64>) -> Option<RawSolution> {
     let nq = prep.num_configs;
     let nh = prep.num_hosts;
     let mut assign = vec![Val::Both as u8; prep.num_vars];
@@ -119,7 +122,7 @@ pub(crate) fn repair_seed(prep: &Prep) -> Option<RawSolution> {
             }
         }
         let Some((h, c, _)) = worst else {
-            return readd_phase(prep, assign, load);
+            return readd_phase(prep, lambda, assign, load);
         };
         let (_, fic_now, _) = evaluate_assignment(prep, &assign);
         // (damage per load relieved, variable, new value).
@@ -187,16 +190,17 @@ pub(crate) fn repair_seed(prep: &Prep) -> Option<RawSolution> {
 /// greedily restore `Both` wherever the inactive replica's host now has
 /// room, largest exact FIC gain first, until the IC goal is met or no
 /// restoring flip fits.
-fn readd_phase(prep: &Prep, mut assign: Vec<u8>, mut load: Vec<f64>) -> Option<RawSolution> {
+fn readd_phase(
+    prep: &Prep,
+    lambda: Option<f64>,
+    mut assign: Vec<u8>,
+    mut load: Vec<f64>,
+) -> Option<RawSolution> {
     let nq = prep.num_configs;
     loop {
-        let (cost_rate, fic_rate, max_rel) = evaluate_assignment(prep, &assign);
+        let (_, fic_rate, max_rel) = evaluate_assignment(prep, &assign);
         if fic_rate >= prep.goal_fic * (1.0 - 1e-9) && max_rel < 1.0 {
-            return Some(RawSolution {
-                assign,
-                cost_rate,
-                fic_rate,
-            });
+            return admit(prep, lambda, assign);
         }
         let mut pick: Option<(f64, usize)> = None;
         for v in 0..prep.num_vars {
@@ -224,7 +228,7 @@ fn readd_phase(prep: &Prep, mut assign: Vec<u8>, mut load: Vec<f64>) -> Option<R
             }
         }
         let Some((_, v)) = pick else {
-            return swap_phase(prep, assign, load);
+            return swap_phase(prep, lambda, assign, load);
         };
         let var = prep.vars[v];
         let pe = var.pe as usize;
@@ -241,18 +245,21 @@ fn readd_phase(prep: &Prep, mut assign: Vec<u8>, mut load: Vec<f64>) -> Option<R
 /// side) to admit a single whose restoration gains more than the eviction
 /// loses. Repeats steepest-ascent while some swap has strictly positive
 /// exact net FIC gain; FIC is bounded, so the `net > eps` requirement
-/// terminates the loop.
-fn swap_phase(prep: &Prep, mut assign: Vec<u8>, mut load: Vec<f64>) -> Option<RawSolution> {
+/// terminates the loop. Where it ends short of the IC goal the assignment
+/// may still fit the cluster, which makes it a solution under the penalty
+/// objective.
+fn swap_phase(
+    prep: &Prep,
+    lambda: Option<f64>,
+    mut assign: Vec<u8>,
+    mut load: Vec<f64>,
+) -> Option<RawSolution> {
     let nq = prep.num_configs;
     let eps = 1e-12 * prep.bic_rate.max(1.0);
     for _ in 0..4 * prep.num_vars.max(16) {
-        let (cost_rate, fic_rate, max_rel) = evaluate_assignment(prep, &assign);
+        let (_, fic_rate, max_rel) = evaluate_assignment(prep, &assign);
         if fic_rate >= prep.goal_fic * (1.0 - 1e-9) && max_rel < 1.0 {
-            return Some(RawSolution {
-                assign,
-                cost_rate,
-                fic_rate,
-            });
+            return admit(prep, lambda, assign);
         }
         // Best (net gain, restored var, evicted var, evicted new value).
         let mut pick: Option<(f64, usize, usize, u8)> = None;
@@ -301,7 +308,9 @@ fn swap_phase(prep: &Prep, mut assign: Vec<u8>, mut load: Vec<f64>) -> Option<Ra
                 }
             }
         }
-        let (_, v, w, w_new) = pick?;
+        let Some((_, v, w, w_new)) = pick else {
+            return lambda.and_then(|_| admit(prep, lambda, assign));
+        };
         let (vvar, wvar) = (prep.vars[v], prep.vars[w]);
         let c = vvar.cfg.index();
         let vpe = vvar.pe as usize;
@@ -316,7 +325,7 @@ fn swap_phase(prep: &Prep, mut assign: Vec<u8>, mut load: Vec<f64>) -> Option<Ra
         assign[v] = Val::Both as u8;
         assign[w] = w_new;
     }
-    None
+    lambda.and_then(|_| admit(prep, lambda, assign))
 }
 
 /// Build an LNS freeze mask around `incumbent`: entries left non-zero are
@@ -423,7 +432,7 @@ pub(crate) struct CpWorkerParams {
 /// restart run completed its whole tree within budget (never from an LNS
 /// run, whose tree is restricted to a neighborhood).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_cp(
+pub(crate) fn solve_cp<const PENALTY: bool>(
     prep: &Prep,
     opts: &FtSearchConfig,
     start: Instant,
@@ -445,7 +454,7 @@ pub(crate) fn solve_cp(
     // No caller-provided seed: try the constructive repair dive. Its
     // incumbent is usually expensive (Both wherever it fits) but arrives in
     // microseconds and unlocks LNS from the first restart.
-    let mut best = warm.or_else(|| repair_seed(prep));
+    let mut best = warm.or_else(|| repair_seed(prep, opts.objective.lambda()));
     if let Some(b) = &best {
         // An externally installed seed is this solve's first incumbent:
         // record it so time-to-first/best are meaningful even if the search
@@ -453,10 +462,10 @@ pub(crate) fn solve_cp(
         stats.seeded = true;
         let at = start.elapsed();
         stats.time_to_first = Some(at);
-        stats.first_cost = Some(b.cost_rate);
+        stats.first_cost = Some(b.objective);
         stats.time_to_best = Some(at);
-        stats.best_cost = Some(b.cost_rate);
-        stats.push_incumbent(at, 0, b.cost_rate);
+        stats.best_cost = Some(b.objective);
+        stats.push_incumbent(at, 0, b.objective);
         if let Some(sh) = shared {
             sh.offer(b);
         }
@@ -499,7 +508,7 @@ pub(crate) fn solve_cp(
         let budget = restart_len.min(remaining(nodes_used));
         let guide_buf = best.as_ref().map(|b| b.assign.clone());
         {
-            let mut eng = Engine::new(prep, &eng_opts, start, deadline, shared);
+            let mut eng = Engine::<PENALTY>::new(prep, &eng_opts, start, deadline, shared);
             eng.set_order(&order);
             eng.set_nogoods(&mut ng, true);
             eng.set_activity(&mut act);
@@ -553,7 +562,7 @@ pub(crate) fn solve_cp(
                     lns_neighborhood(&mut rng, prep, &b.assign, params.relax_frac, lns_round);
                 lns_round += 1;
                 let budget = opts.cp.lns_node_budget.min(remaining(nodes_used));
-                let mut eng = Engine::new(prep, &eng_opts, start, deadline, shared);
+                let mut eng = Engine::<PENALTY>::new(prep, &eng_opts, start, deadline, shared);
                 eng.set_order(&order);
                 eng.set_nogoods(&mut ng, true);
                 eng.set_activity(&mut act);

@@ -21,8 +21,16 @@
 //! `SOL` (feasible, possibly suboptimal), `NUL` (proved infeasible), or
 //! `TMO` (timed out with nothing).
 //!
-//! [`solve`] is the sequential solver; [`solve_parallel`] fans the search out
-//! over OS threads. Two parallel modes exist (see [`SearchMode`]):
+//! The same engine also solves the paper's penalty model (§6: "a penalty
+//! model associated to IC violations"): under [`Objective::Penalty`] the IC
+//! goal becomes a priced term of the objective, `cost + λ·max(0, goal −
+//! FIC)`, every CPU-feasible strategy is a solution, and COMPL's IC upper
+//! bound turns into part of the objective's node bound. CPU stays hard, so
+//! `NUL` then means that no strategy fits the cluster at all.
+//!
+//! [`solve`] is the sequential solver, [`solve_with_warm_start`] the same
+//! with a caller's incumbent; [`solve_parallel`] fans the search out over OS
+//! threads. Two parallel modes exist (see [`SearchMode`]):
 //!
 //! - [`SearchMode::Deterministic`] splits the top of the tree statically with
 //!   a shared incumbent (the paper used the JSR-166 Fork/Join framework) and
@@ -39,13 +47,11 @@
 //!   [`solve`]) the CP mode is deterministic under node budgets.
 
 mod cp;
-pub mod decompose;
 mod nogood;
 mod prep;
 mod search;
 pub mod stats;
 
-pub use decompose::{solve_decomposed, solve_soft, SoftSolution};
 pub use stats::{PruneKind, RootConflict, SearchStats, NUM_PRUNE_KINDS};
 
 use crate::error::CoreError;
@@ -54,20 +60,20 @@ use crate::problem::Problem;
 use laar_model::ActivationStrategy;
 use parking_lot::Mutex;
 use prep::Prep;
-use search::{Engine, RawSolution, Val};
+use search::{admit, Engine, RawSolution, Val};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// The total order under which solutions are kept: exact cost first, then
-/// lexicographic assignment. The eps-band used for *pruning* is
-/// deliberately absent here — an eps-tie comparison is not transitive
-/// (costs `C`, `C+ε`, `C+2ε` form a cycle of "ties"), which would make the
-/// winner depend on arrival order. Under this total order the final
-/// incumbent is the lexicographically smallest exact-minimal-cost leaf, a
-/// schedule-independent quantity.
+/// The total order under which solutions are kept: exact objective (the
+/// cost under [`Objective::Hard`]) first, then lexicographic assignment. The
+/// eps-band used for *pruning* is deliberately absent here — an eps-tie
+/// comparison is not transitive (costs `C`, `C+ε`, `C+2ε` form a cycle of
+/// "ties"), which would make the winner depend on arrival order. Under this
+/// total order the final incumbent is the lexicographically smallest
+/// exact-minimal leaf, a schedule-independent quantity.
 #[inline]
 pub(crate) fn better_solution(a: &RawSolution, b: &RawSolution) -> bool {
-    match a.cost_rate.partial_cmp(&b.cost_rate) {
+    match a.objective.partial_cmp(&b.objective) {
         Some(std::cmp::Ordering::Less) => true,
         Some(std::cmp::Ordering::Greater) => false,
         _ => a.assign < b.assign,
@@ -138,6 +144,31 @@ impl Default for CpConfig {
     }
 }
 
+/// What FT-Search minimizes.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum Objective {
+    /// The paper's problem (eqs. 9–12): minimize cost subject to the IC
+    /// goal.
+    #[default]
+    Hard,
+    /// The penalty model (§6): minimize `cost + λ·max(0, goal − FIC)`, in
+    /// cost-rate units per tuple/s of FIC missing from the goal. CPU stays
+    /// a hard constraint. With `λ` large enough the optimum is the hard
+    /// one wherever that exists, and the strategy with the least IC
+    /// shortfall elsewhere. `λ` must be finite and non-negative.
+    Penalty(f64),
+}
+
+impl Objective {
+    /// `λ` of the penalty objective; `None` for the hard one.
+    pub(crate) fn lambda(self) -> Option<f64> {
+        match self {
+            Objective::Hard => None,
+            Objective::Penalty(l) => Some(l),
+        }
+    }
+}
+
 /// Tunables for one FT-Search run.
 #[derive(Debug, Clone)]
 pub struct FtSearchConfig {
@@ -145,7 +176,8 @@ pub struct FtSearchConfig {
     pub time_limit: Duration,
     /// Enable pruning on the CPU constraint.
     pub prune_cpu: bool,
-    /// Enable pruning on the IC upper bound.
+    /// Enable pruning on the IC upper bound (under the penalty objective
+    /// that bound is part of COST's and this switch has no effect).
     pub prune_compl: bool,
     /// Enable pruning on the cost lower bound.
     pub prune_cost: bool,
@@ -169,6 +201,8 @@ pub struct FtSearchConfig {
     /// CP-engine tunables (used only when `mode` is
     /// [`SearchMode::Portfolio`]).
     pub cp: CpConfig,
+    /// What the search minimizes; see [`Objective`].
+    pub objective: Objective,
 }
 
 impl Default for FtSearchConfig {
@@ -184,6 +218,7 @@ impl Default for FtSearchConfig {
             threads: 0,
             mode: SearchMode::Deterministic,
             cp: CpConfig::default(),
+            objective: Objective::Hard,
         }
     }
 }
@@ -198,7 +233,9 @@ impl FtSearchConfig {
     }
 }
 
-/// A feasible activation strategy with its objective values.
+/// A strategy the search returned, with its objective values. Under
+/// [`Objective::Hard`] it is feasible; under [`Objective::Penalty`] only
+/// its CPU fit is guaranteed, and `ic` may fall short of the goal.
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// The activation strategy.
@@ -253,10 +290,10 @@ pub struct SearchReport {
     pub stats: SearchStats,
 }
 
-/// Shared incumbent for parallel workers: the best cost seen (as `f64` bits
-/// in an atomic) plus the corresponding raw solution.
+/// Shared incumbent for parallel workers: the best objective seen (as `f64`
+/// bits in an atomic) plus the corresponding raw solution.
 pub(crate) struct SharedBest {
-    cost_bits: AtomicU64,
+    objective_bits: AtomicU64,
     sol: Mutex<Option<RawSolution>>,
     cancelled: AtomicBool,
 }
@@ -264,15 +301,15 @@ pub(crate) struct SharedBest {
 impl SharedBest {
     fn new() -> Self {
         Self {
-            cost_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            objective_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             sol: Mutex::new(None),
             cancelled: AtomicBool::new(false),
         }
     }
 
     #[inline]
-    pub(crate) fn cost(&self) -> f64 {
-        f64::from_bits(self.cost_bits.load(Ordering::Acquire))
+    pub(crate) fn objective(&self) -> f64 {
+        f64::from_bits(self.objective_bits.load(Ordering::Acquire))
     }
 
     #[inline]
@@ -287,8 +324,8 @@ impl SharedBest {
     }
 
     /// Install `sol` if it wins the [`better_solution`] total order against
-    /// the shared incumbent. `cost_bits` is maintained separately as a
-    /// monotone bound (the cheapest cost anyone has seen) — it only ever
+    /// the shared incumbent. `objective_bits` is maintained separately as a
+    /// monotone bound (the lowest objective anyone has seen) — it only ever
     /// tightens pruning, never decides which solution is kept.
     pub(crate) fn offer(&self, sol: &RawSolution) {
         {
@@ -301,11 +338,11 @@ impl SharedBest {
                 *guard = Some(sol.clone());
             }
         }
-        let mut cur = self.cost_bits.load(Ordering::Acquire);
-        while sol.cost_rate < f64::from_bits(cur) {
-            match self.cost_bits.compare_exchange_weak(
+        let mut cur = self.objective_bits.load(Ordering::Acquire);
+        while sol.objective < f64::from_bits(cur) {
+            match self.objective_bits.compare_exchange_weak(
                 cur,
-                sol.cost_rate.to_bits(),
+                sol.objective.to_bits(),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -328,17 +365,17 @@ pub(crate) fn deadline_after(start: Instant, mut time_limit: Duration) -> Instan
     }
 }
 
-/// Build a greedy feasible incumbent: all replicas active everywhere, then
-/// per configuration deactivate replicas on overloaded hosts —
-/// most-downstream PEs first, so upstream `Δ̂` chains survive and the IC
-/// damage stays small. Returns `None` when the result violates the IC goal
-/// or cannot unload some host.
-fn greedy_seed(prep: &Prep) -> Option<RawSolution> {
-    // Two unloading heuristics; keep the cheaper feasible result.
-    let a = greedy_seed_with(prep, SeedHeuristic::DownstreamFirst);
-    let b = greedy_seed_with(prep, SeedHeuristic::CheapestIcPerLoad);
+/// Build a greedy incumbent: all replicas active everywhere, then per
+/// configuration deactivate replicas on overloaded hosts — most-downstream
+/// PEs first, so upstream `Δ̂` chains survive and the IC damage stays small.
+/// Returns `None` when it cannot unload some host or, under the hard
+/// objective (`lambda` is `None`), when the result violates the IC goal.
+fn greedy_seed(prep: &Prep, lambda: Option<f64>) -> Option<RawSolution> {
+    // Two unloading heuristics; keep the better result.
+    let a = greedy_seed_with(prep, lambda, SeedHeuristic::DownstreamFirst);
+    let b = greedy_seed_with(prep, lambda, SeedHeuristic::CheapestIcPerLoad);
     match (a, b) {
-        (Some(x), Some(y)) => Some(if x.cost_rate <= y.cost_rate { x } else { y }),
+        (Some(x), Some(y)) => Some(if x.objective <= y.objective { x } else { y }),
         (x, y) => x.or(y),
     }
 }
@@ -354,7 +391,11 @@ enum SeedHeuristic {
     CheapestIcPerLoad,
 }
 
-fn greedy_seed_with(prep: &Prep, heuristic: SeedHeuristic) -> Option<RawSolution> {
+fn greedy_seed_with(
+    prep: &Prep,
+    lambda: Option<f64>,
+    heuristic: SeedHeuristic,
+) -> Option<RawSolution> {
     let nq = prep.num_configs;
     let mut assign = vec![Val::Both as u8; prep.num_vars];
     for c in 0..nq {
@@ -410,37 +451,19 @@ fn greedy_seed_with(prep: &Prep, heuristic: SeedHeuristic) -> Option<RawSolution
             load[h] -= prep.replica_load[pe * nq + c];
         }
     }
-    let (cost_rate, fic_rate, max_rel) = search::evaluate_assignment(prep, &assign);
-    (fic_rate >= prep.goal_fic * (1.0 - 1e-9) && max_rel < 1.0).then_some(RawSolution {
-        assign,
-        cost_rate,
-        fic_rate,
-    })
-}
-
-fn raw_to_solution(problem: &Problem, prep: &Prep, raw: &RawSolution) -> Solution {
-    let sol = raw_to_solution_parts(problem, prep, &raw.assign);
-    debug_assert!(
-        (raw.fic_rate * problem.app.billing_period()
-            - problem
-                .ic_evaluator()
-                .fic(&sol.strategy, &PessimisticFailure))
-        .abs()
-            < 1e-6 * problem.ic_evaluator().bic().max(1.0)
-    );
-    sol
+    admit(prep, lambda, assign)
 }
 
 /// Convert a complete raw assignment (in `Prep` variable order) into a
 /// [`Solution`], recomputing objectives through the public evaluators so the
 /// reported numbers agree with `Problem::check`.
-pub(crate) fn raw_to_solution_parts(problem: &Problem, prep: &Prep, assign: &[u8]) -> Solution {
+fn raw_to_solution(problem: &Problem, prep: &Prep, raw: &RawSolution) -> Solution {
     let nq = prep.num_configs;
     let mut strategy = ActivationStrategy::all_inactive(prep.num_pes, nq, 2);
     for (v, var) in prep.vars.iter().enumerate() {
         let pe = var.pe as usize;
         let c = var.cfg;
-        match assign[v] {
+        match raw.assign[v] {
             x if x == Val::Both as u8 => {
                 strategy.set_active(pe, c, 0, true);
                 strategy.set_active(pe, c, 1, true);
@@ -450,9 +473,12 @@ pub(crate) fn raw_to_solution_parts(problem: &Problem, prep: &Prep, assign: &[u8
             _ => unreachable!("complete assignment expected"),
         }
     }
-    // Recompute objective values through the public evaluators so the
-    // reported numbers agree with `Problem::check`.
     let ev = problem.ic_evaluator();
+    debug_assert!(
+        (raw.fic_rate * problem.app.billing_period() - ev.fic(&strategy, &PessimisticFailure))
+            .abs()
+            < 1e-6 * ev.bic().max(1.0)
+    );
     let ic = ev.ic(&strategy, &PessimisticFailure);
     let cm = problem.cost_model();
     let cost_cycles = cm.cost_cycles(&strategy);
@@ -488,9 +514,14 @@ fn root_verdict(prep: &Prep, start: Instant) -> Option<SearchReport> {
     })
 }
 
-/// Convert a complete strategy into a raw incumbent, provided it is
-/// feasible for this problem (eq. 12 shape, CPU fit, IC goal).
-fn strategy_to_raw(prep: &Prep, strategy: &ActivationStrategy) -> Option<RawSolution> {
+/// Convert a complete strategy into a raw incumbent, provided it is a
+/// solution under the objective (eq. 12 shape, CPU fit, and the IC goal
+/// under the hard objective).
+fn strategy_to_raw(
+    prep: &Prep,
+    lambda: Option<f64>,
+    strategy: &ActivationStrategy,
+) -> Option<RawSolution> {
     if strategy.num_pes() != prep.num_pes
         || strategy.num_configs() != prep.num_configs
         || strategy.k() != 2
@@ -509,35 +540,46 @@ fn strategy_to_raw(prep: &Prep, strategy: &ActivationStrategy) -> Option<RawSolu
             (false, false) => return None,
         } as u8;
     }
-    let (cost_rate, fic_rate, max_rel) = search::evaluate_assignment(prep, &assign);
-    (fic_rate >= prep.goal_fic * (1.0 - 1e-9) && max_rel < 1.0).then_some(RawSolution {
-        assign,
-        cost_rate,
-        fic_rate,
-    })
+    admit(prep, lambda, assign)
 }
 
-/// The cheapest feasible incumbent among the greedy seed and a caller-
-/// provided warm-start strategy.
+/// The best incumbent under the objective among the greedy seed and a
+/// caller-provided warm-start strategy.
 fn best_seed(
     prep: &Prep,
     opts: &FtSearchConfig,
     warm_start: Option<&ActivationStrategy>,
 ) -> Option<RawSolution> {
-    let mut best: Option<RawSolution> = None;
-    let mut offer = |cand: Option<RawSolution>| {
-        if let Some(c) = cand {
-            match &best {
-                Some(b) if b.cost_rate <= c.cost_rate => {}
-                _ => best = Some(c),
-            }
-        }
+    let lambda = opts.objective.lambda();
+    let greedy = opts
+        .seed_incumbent
+        .then(|| greedy_seed(prep, lambda))
+        .flatten();
+    let warm = warm_start.and_then(|s| strategy_to_raw(prep, lambda, s));
+    // A tie keeps the first: the greedy seed under the hard objective (the
+    // order its pinned search trees were grown in), the caller's strategy
+    // under the penalty one, so that a fallback re-plan does not trade the
+    // installed strategy for an equally violating other.
+    let (first, second) = if lambda.is_some() {
+        (warm, greedy)
+    } else {
+        (greedy, warm)
     };
-    if opts.seed_incumbent {
-        offer(greedy_seed(prep));
+    match (first, second) {
+        (Some(a), Some(b)) if b.objective < a.objective => Some(b),
+        (a, b) => a.or(b),
     }
-    offer(warm_start.and_then(|s| strategy_to_raw(prep, s)));
-    best
+}
+
+/// Check what every entry point checks before it builds anything.
+fn check_problem(problem: &Problem, opts: &FtSearchConfig) -> Result<(), CoreError> {
+    if problem.k() != 2 {
+        return Err(CoreError::UnsupportedReplication { k: problem.k() });
+    }
+    match opts.objective.lambda() {
+        Some(l) if !(l >= 0.0 && l.is_finite()) => Err(CoreError::InvalidPenaltyRate(l)),
+        _ => Ok(()),
+    }
 }
 
 /// Run sequential FT-Search on a problem.
@@ -545,7 +587,9 @@ fn best_seed(
 /// # Errors
 ///
 /// Returns [`CoreError::UnsupportedReplication`] unless the placement uses
-/// `k = 2` (the paper's FT-Search restriction).
+/// `k = 2` (the paper's FT-Search restriction), and
+/// [`CoreError::InvalidPenaltyRate`] unless a penalty objective's `λ` is
+/// finite and non-negative.
 pub fn solve(problem: &Problem, opts: &FtSearchConfig) -> Result<SearchReport, CoreError> {
     solve_with_warm_start(problem, opts, None)
 }
@@ -555,21 +599,36 @@ pub fn solve(problem: &Problem, opts: &FtSearchConfig) -> Result<SearchReport, C
 /// cascades over decreasing IC requirements: a solution guaranteeing IC 0.7
 /// is feasible for the 0.6 and 0.5 problems, so solving strictest-first and
 /// warm-starting the rest guarantees cost monotonicity across the cascade
-/// even under tight time limits.
+/// even under tight time limits. Under [`Objective::Penalty`] a warm start
+/// is accepted when it fits the cluster.
+///
+/// # Errors
+///
+/// As [`solve`].
 pub fn solve_with_warm_start(
     problem: &Problem,
     opts: &FtSearchConfig,
     warm_start: Option<&ActivationStrategy>,
 ) -> Result<SearchReport, CoreError> {
-    if problem.k() != 2 {
-        return Err(CoreError::UnsupportedReplication { k: problem.k() });
-    }
+    check_problem(problem, opts)?;
+    Ok(match opts.objective {
+        Objective::Hard => solve_sequential::<false>(problem, opts, warm_start),
+        Objective::Penalty(_) => solve_sequential::<true>(problem, opts, warm_start),
+    })
+}
+
+/// [`solve_with_warm_start`] compiled for one objective.
+fn solve_sequential<const PENALTY: bool>(
+    problem: &Problem,
+    opts: &FtSearchConfig,
+    warm_start: Option<&ActivationStrategy>,
+) -> SearchReport {
     let prep = Prep::build(problem);
     let start = Instant::now();
     let deadline = deadline_after(start, opts.time_limit);
     if opts.prune_cpu {
         if let Some(report) = root_verdict(&prep, start) {
-            return Ok(report);
+            return report;
         }
     }
     if opts.mode == SearchMode::Portfolio && prep.num_vars > 0 {
@@ -581,25 +640,26 @@ pub fn solve_with_warm_start(
             relax_frac: opts.cp.relax_frac,
             worker_id: 0,
         };
-        let (best, stats) = cp::solve_cp(&prep, opts, start, deadline, None, None, &params, warm);
+        let (best, stats) =
+            cp::solve_cp::<PENALTY>(&prep, opts, start, deadline, None, None, &params, warm);
         let timed_out = !stats.proved;
-        return Ok(SearchReport {
+        return SearchReport {
             outcome: classify(problem, &prep, best, timed_out),
             stats,
-        });
+        };
     }
     let order = search::fail_first_order(&prep);
-    let mut engine = Engine::new(&prep, opts, start, deadline, None);
+    let mut engine = Engine::<PENALTY>::new(&prep, opts, start, deadline, None);
     engine.set_order(&order);
     if let Some(seed) = best_seed(&prep, opts, warm_start) {
         engine.set_seed(seed);
     }
     let (best, timed_out) = engine.run(0);
     let stats = engine.stats.clone();
-    Ok(SearchReport {
+    SearchReport {
         outcome: classify(problem, &prep, best, timed_out),
         stats,
-    })
+    }
 }
 
 /// Enumerate all non-CPU-pruned prefixes of length `depth` as parallel tasks.
@@ -632,14 +692,24 @@ fn enumerate_prefixes(depth: usize) -> Vec<Vec<Val>> {
 /// `better_solution` total order. Worker statistics are merged;
 /// `time_to_first`/`time_to_best` reflect the earliest/cheapest across
 /// workers and, like node counts, remain schedule-dependent.
+///
+/// # Errors
+///
+/// As [`solve`].
 pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<SearchReport, CoreError> {
-    if problem.k() != 2 {
-        return Err(CoreError::UnsupportedReplication { k: problem.k() });
-    }
+    check_problem(problem, opts)?;
+    Ok(match opts.objective {
+        Objective::Hard => solve_split::<false>(problem, opts),
+        Objective::Penalty(_) => solve_split::<true>(problem, opts),
+    })
+}
+
+/// [`solve_parallel`] compiled for one objective.
+fn solve_split<const PENALTY: bool>(problem: &Problem, opts: &FtSearchConfig) -> SearchReport {
     let prep = Prep::build(problem);
     if opts.prune_cpu {
         if let Some(report) = root_verdict(&prep, Instant::now()) {
-            return Ok(report);
+            return report;
         }
     }
     let threads = if opts.threads == 0 {
@@ -650,7 +720,7 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
         opts.threads
     };
     if opts.mode == SearchMode::Portfolio && prep.num_vars > 0 {
-        return Ok(solve_portfolio(problem, &prep, opts, threads));
+        return solve_portfolio::<PENALTY>(problem, &prep, opts, threads);
     }
     // Split deep enough to get a few tasks per thread, shallow enough that
     // prefix duplication stays negligible.
@@ -659,14 +729,14 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
         split_depth += 1;
     }
     if split_depth == 0 || prep.num_vars == 0 {
-        return solve(problem, opts);
+        return solve_sequential::<PENALTY>(problem, opts, None);
     }
 
     let start = Instant::now();
     let deadline = deadline_after(start, opts.time_limit);
     let shared = SharedBest::new();
     if opts.seed_incumbent {
-        if let Some(seed) = greedy_seed(&prep) {
+        if let Some(seed) = greedy_seed(&prep, opts.objective.lambda()) {
             shared.offer(&seed);
         }
     }
@@ -676,7 +746,7 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
     // (incumbent, timed out, stats) of one prefix subtree.
     type PrefixResult = (Option<RawSolution>, bool, SearchStats);
     let run_task = |prefix: &Vec<Val>| -> PrefixResult {
-        let mut engine = Engine::new(&prep, opts, start, deadline, Some(&shared));
+        let mut engine = Engine::<PENALTY>::new(&prep, opts, start, deadline, Some(&shared));
         engine.set_order(&order);
         if !engine.push_prefix(prefix) {
             let stats = engine.stats.clone();
@@ -748,10 +818,10 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
     }
     stats.proved = !timed_out;
     stats.elapsed = start.elapsed();
-    Ok(SearchReport {
+    SearchReport {
         outcome: classify(problem, &prep, best, timed_out),
         stats,
-    })
+    }
 }
 
 /// Run a portfolio of CP workers with diversified seeds, restart schedules
@@ -760,7 +830,7 @@ pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<Search
 /// publish short learned nogoods into a pool that other workers import at
 /// their restart boundaries. The first worker to prove its run (complete a
 /// restart tree within budget) cancels the rest.
-fn solve_portfolio(
+fn solve_portfolio<const PENALTY: bool>(
     problem: &Problem,
     prep: &Prep,
     opts: &FtSearchConfig,
@@ -798,7 +868,7 @@ fn solve_portfolio(
                         },
                         worker_id: i,
                     };
-                    let (best, stats) = cp::solve_cp(
+                    let (best, stats) = cp::solve_cp::<PENALTY>(
                         prep,
                         opts,
                         start,
@@ -1011,17 +1081,105 @@ mod tests {
             ("solve_parallel", solve_parallel(&p, &det)),
             ("solve (cp)", solve(&p, &cp)),
             ("solve_parallel (portfolio)", solve_parallel(&p, &cp)),
-            ("solve_decomposed", solve_decomposed(&p, Duration::MAX)),
+            ("solve (penalty)", solve(&p, &penalty(1e9, &det))),
         ];
         for (what, report) in reports {
             let report = report.unwrap();
             assert_eq!(report.outcome.label(), "BST", "{what}");
             assert!(report.stats.proved, "{what}");
+            assert!(
+                report.outcome.solution().unwrap().ic >= 0.6 - 1e-9,
+                "{what}"
+            );
         }
-        let soft = solve_soft(&p, 1e9, Duration::MAX)
-            .unwrap()
-            .expect("fig2 fits");
-        assert!(soft.ic_shortfall_rate < 1e-9);
+    }
+
+    /// `opts` under the penalty objective with rate `lambda`.
+    fn penalty(lambda: f64, opts: &FtSearchConfig) -> FtSearchConfig {
+        FtSearchConfig {
+            objective: Objective::Penalty(lambda),
+            ..opts.clone()
+        }
+    }
+
+    /// The proved optimum under `lambda` on `p`: (cost rate, FIC rate short
+    /// of the goal, objective).
+    fn penalty_optimum(p: &Problem, lambda: f64) -> (f64, f64, f64) {
+        let report = solve(p, &penalty(lambda, &FtSearchConfig::default())).unwrap();
+        assert_eq!(report.outcome.label(), "BST", "λ = {lambda}");
+        let sol = report.outcome.solution().unwrap();
+        let rate = |cycles: f64| cycles / p.app.billing_period();
+        let bic = rate(p.ic_evaluator().bic());
+        let cost = rate(sol.cost_cycles);
+        let shortfall = ((p.ic_requirement - sol.ic) * bic).max(0.0);
+        (cost, shortfall, cost + lambda * shortfall)
+    }
+
+    #[test]
+    fn penalty_sweeps_from_cheapest_to_the_hard_optimum() {
+        let p = fig2_problem(0.6);
+        // λ = 0: the shortfall is free, so the optimum is the cheapest
+        // strategy that fits (single replicas everywhere): cost-rate 960.
+        let (free, shortfall, _) = penalty_optimum(&p, 0.0);
+        assert!((free - 960.0).abs() < 1e-6, "{free}");
+        assert!(shortfall > 0.0);
+        // λ huge: the penalty dominates and the hard optimum (cost-rate
+        // 1600, IC 2/3 ≥ 0.6) wins.
+        let (strict, shortfall, _) = penalty_optimum(&p, 1e9);
+        assert!((strict - 1600.0).abs() < 1e-6, "{strict}");
+        assert_eq!(shortfall, 0.0);
+        // In between the objective grows with λ.
+        let mut last = 0.0;
+        for lambda in [0.0, 50.0, 200.0, 1e4] {
+            let (_, _, objective) = penalty_optimum(&p, lambda);
+            assert!(objective >= last - 1e-9, "λ = {lambda}");
+            last = objective;
+        }
+    }
+
+    #[test]
+    fn penalty_answers_where_the_hard_goal_is_unreachable() {
+        // IC 0.95 is NUL on fig2 (full replication at High overloads both
+        // hosts); under a steep penalty the search maximizes IC instead,
+        // and 2/3 is the most this deployment can guarantee.
+        let p = fig2_problem(0.95);
+        let hard = solve(&p, &FtSearchConfig::default()).unwrap();
+        assert_eq!(hard.outcome.label(), "NUL");
+        for opts in [
+            FtSearchConfig::default(),
+            FtSearchConfig {
+                mode: SearchMode::Portfolio,
+                ..FtSearchConfig::default()
+            },
+        ] {
+            let report = solve(&p, &penalty(1e9, &opts)).unwrap();
+            assert_eq!(report.outcome.label(), "BST", "{:?}", opts.mode);
+            let sol = report.outcome.solution().unwrap();
+            assert!(
+                (sol.ic - 2.0 / 3.0).abs() < 1e-6,
+                "{:?}: {}",
+                opts.mode,
+                sol.ic
+            );
+            assert!(p.check(&sol.strategy).len() == 1, "only the IC falls short");
+        }
+    }
+
+    #[test]
+    fn bad_penalty_rates_are_errors() {
+        let p = fig2_problem(0.6);
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let opts = penalty(bad, &FtSearchConfig::default());
+            for err in [
+                solve(&p, &opts).unwrap_err(),
+                solve_parallel(&p, &opts).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, CoreError::InvalidPenaltyRate(_)),
+                    "{bad}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

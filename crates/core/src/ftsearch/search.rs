@@ -2,6 +2,12 @@
 //! the four pruning strategies (CPU, COMPL, COST, DOM), extensible with the
 //! CP-style machinery (nogood store, activity-guided ordering, guided/dive
 //! value policies, LNS variable freezing) used by `cp.rs`.
+//!
+//! The engine is compiled once per objective (`Engine<PENALTY>`): the hard
+//! model's node loop carries no trace of the penalty one. Under the penalty
+//! objective every CPU-feasible leaf is a solution, the IC upper bound feeds
+//! the objective's node bound instead of cutting on its own, and the cover
+//! bound prices the IC deficit at `λ` wherever buying it costs more.
 
 use super::cp::Activity;
 use super::nogood::{self, NogoodStore};
@@ -70,21 +76,50 @@ const BOUND_EPS: f64 = 1e-9;
 /// How many nodes between deadline checks.
 const TIMEOUT_CHECK_MASK: u64 = 0x1FFF;
 
-/// A complete assignment together with its exact cost and FIC rate.
+/// A complete assignment together with its exact FIC rate and objective
+/// value.
 #[derive(Debug, Clone)]
 pub(crate) struct RawSolution {
     /// One `Val as u8` per variable, in `Prep::vars` order.
     pub assign: Vec<u8>,
-    /// Exact cost-rate (`Σ P_C·γ·Δ·s`, cost without the `T` factor).
-    pub cost_rate: f64,
     /// Exact FIC rate under the pessimistic model (FIC without `T`).
     pub fic_rate: f64,
+    /// What the search minimizes: the exact cost-rate (`Σ P_C·γ·Δ·s`, cost
+    /// without the `T` factor) under the hard objective, plus
+    /// `λ·max(0, goal − fic_rate)` under the penalty one.
+    pub objective: f64,
 }
 
-/// The mutable search state of one worker.
-pub(crate) struct Engine<'a> {
+/// `cost + λ·max(0, goal − fic)`: the penalty objective of an assignment.
+#[inline]
+pub(crate) fn penalized(prep: &Prep, lambda: f64, cost_rate: f64, fic_rate: f64) -> f64 {
+    cost_rate + lambda * (prep.goal_fic - fic_rate).max(0.0)
+}
+
+/// The solution a complete assignment is, or `None` when it is not one: it
+/// overloads a host, or, under the hard objective (`lambda` is `None`), it
+/// misses the IC goal. Seeds and warm starts go through here.
+pub(crate) fn admit(prep: &Prep, lambda: Option<f64>, assign: Vec<u8>) -> Option<RawSolution> {
+    let (cost_rate, fic_rate, max_rel) = evaluate_assignment(prep, &assign);
+    let objective = match lambda {
+        None if fic_rate >= prep.goal_fic * (1.0 - BOUND_EPS) => cost_rate,
+        None => return None,
+        Some(l) => penalized(prep, l, cost_rate, fic_rate),
+    };
+    (max_rel < 1.0).then_some(RawSolution {
+        assign,
+        fic_rate,
+        objective,
+    })
+}
+
+/// The mutable search state of one worker; `PENALTY` selects the objective
+/// (see the module doc).
+pub(crate) struct Engine<'a, const PENALTY: bool> {
     prep: &'a Prep,
     opts: &'a FtSearchConfig,
+    /// `λ` of the penalty objective (unused under the hard one).
+    lambda: f64,
     deadline: Instant,
     start: Instant,
     shared: Option<&'a SharedBest>,
@@ -191,7 +226,7 @@ const MAX_CPU_REASON: usize = 24;
 /// Skip COMPL reason extraction beyond this many assigned singles.
 const MAX_COMPL_SCAN: u32 = 64;
 
-impl<'a> Engine<'a> {
+impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
     pub(crate) fn new(
         prep: &'a Prep,
         opts: &'a FtSearchConfig,
@@ -230,6 +265,7 @@ impl<'a> Engine<'a> {
         Self {
             prep,
             opts,
+            lambda: opts.objective.lambda().unwrap_or(0.0),
             deadline,
             start,
             shared,
@@ -368,7 +404,7 @@ impl<'a> Engine<'a> {
             if !self.try_assign(v, val, (self.prep.num_vars - pos) as u64) {
                 return false;
             }
-            if self.opts.prune_compl && self.compl_violated() {
+            if !PENALTY && self.opts.prune_compl && self.compl_violated() {
                 self.unassign(v, val);
                 return false;
             }
@@ -411,9 +447,13 @@ impl<'a> Engine<'a> {
     #[inline]
     fn compl_violated_less(&self, c: usize, credit: f64) -> bool {
         let lo = self.goal_lo();
-        if self.fic + (self.ic_ub_rem - credit) < lo {
-            return true;
-        }
+        self.fic + (self.ic_ub_rem - credit) < lo || self.capped_ub_less(c, credit) < lo
+    }
+
+    /// The refined COMPL bound `Σ_k min(fic_k + ub_k, kub_k)`, less `credit`
+    /// in configuration `c`.
+    #[inline]
+    fn capped_ub_less(&self, c: usize, credit: f64) -> f64 {
         let mut bound = 0.0;
         for k in 0..self.prep.num_configs {
             let ub = if k == c {
@@ -423,7 +463,16 @@ impl<'a> Engine<'a> {
             };
             bound += (self.fic_by_cfg[k] + ub).min(self.prep.kub[k]);
         }
-        bound < lo
+        bound
+    }
+
+    /// The penalty objective's node bound on top of `cost + cost_lb_rem`:
+    /// `λ·max(0, goal − fic_ub)`, with `fic_ub` the smaller of COMPL's two
+    /// upper bounds on the FIC any completion reaches.
+    #[inline]
+    fn penalty_lb(&self) -> f64 {
+        let fic_ub = (self.fic + self.ic_ub_rem).min(self.capped_ub_less(0, 0.0));
+        self.lambda * (self.goal_lo() - fic_ub).max(0.0)
     }
 
     /// COMPL for the single `val` of variable `v` on the state `try_assign`
@@ -452,11 +501,11 @@ impl<'a> Engine<'a> {
         self.compl_violated_less(c, credit)
     }
 
-    /// The cost of the best known solution, local or shared.
+    /// The objective of the best known solution, local or shared.
     #[inline]
-    fn incumbent_cost(&self) -> Option<f64> {
-        let local = self.best.as_ref().map(|b| b.cost_rate);
-        let shared = self.shared.map(|s| s.cost());
+    fn incumbent_objective(&self) -> Option<f64> {
+        let local = self.best.as_ref().map(|b| b.objective);
+        let shared = self.shared.map(|s| s.objective());
         match (local, shared) {
             (Some(l), Some(s)) => Some(l.min(s)),
             (Some(l), None) => Some(l),
@@ -487,7 +536,7 @@ impl<'a> Engine<'a> {
         // itself observes a COMPL prune: no nogood to learn, no activity to
         // bump (the deterministic engine).
         let refute_first =
-            self.opts.prune_compl && self.nogoods.is_none() && self.activity.is_none();
+            !PENALTY && self.opts.prune_compl && self.nogoods.is_none() && self.activity.is_none();
         for val in self.value_order(v) {
             self.stats.nodes += 1;
             self.check_deadline();
@@ -522,39 +571,20 @@ impl<'a> Engine<'a> {
             }
 
             // Pruning on IC upper bound (COMPL).
-            if self.opts.prune_compl && self.compl_violated() {
+            if !PENALTY && self.opts.prune_compl && self.compl_violated() {
                 self.stats.record_prune(PruneKind::Compl, height);
                 self.learn_compl(v);
                 self.ng_undo(ng_mark);
                 self.unassign(v, val);
                 continue;
             }
-            // Pruning on cost lower bound (COST). With tie-keeping semantics
-            // (deterministic parallel mode) the cut keeps an eps-slack
-            // *above* the bound instead of below it: subtrees that might
-            // contain an exact-minimal-cost leaf are always explored no
-            // matter how fast another worker tightened the incumbent, which
-            // is what makes the parallel result schedule-independent. COST
-            // cuts are incumbent-dependent and must never become nogoods.
-            // The cover term is only computed where the plain bound fails.
-            if self.opts.prune_cost {
-                if let Some(best) = self.incumbent_cost() {
-                    let tie_keeping = self.tie_keeping;
-                    let cut = |lb: f64| {
-                        if tie_keeping {
-                            lb > best * (1.0 + BOUND_EPS)
-                        } else {
-                            lb >= best * (1.0 - BOUND_EPS)
-                        }
-                    };
-                    let lb = self.cost + self.cost_lb_rem;
-                    if cut(lb) || (self.proof_bounds && cut(lb + self.deficit_cover())) {
-                        self.stats.record_prune(PruneKind::Cost, height);
-                        self.ng_undo(ng_mark);
-                        self.unassign(v, val);
-                        continue;
-                    }
-                }
+            // Pruning on the objective's lower bound (COST). COST cuts are
+            // incumbent-dependent and must never become nogoods.
+            if self.opts.prune_cost && self.cost_cut(false) {
+                self.stats.record_prune(PruneKind::Cost, height);
+                self.ng_undo(ng_mark);
+                self.unassign(v, val);
+                continue;
             }
 
             let mark = self.trail.len();
@@ -571,9 +601,18 @@ impl<'a> Engine<'a> {
             }
             // Re-check COMPL: CAP/DOM propagation may have collapsed enough
             // chain credit to refute the subtree before descending.
-            if self.opts.prune_compl && self.compl_violated() {
+            if !PENALTY && self.opts.prune_compl && self.compl_violated() {
                 self.stats.record_prune(PruneKind::Compl, height);
                 self.learn_compl(v);
+                self.undo_dom(mark);
+                self.ng_undo(ng_mark);
+                self.unassign(v, val);
+                continue;
+            }
+            // Under the penalty objective the same collapse raises the
+            // objective's bound instead.
+            if PENALTY && self.opts.prune_cost && self.cost_cut(true) {
+                self.stats.record_prune(PruneKind::Cost, height);
                 self.undo_dom(mark);
                 self.ng_undo(ng_mark);
                 self.unassign(v, val);
@@ -587,6 +626,33 @@ impl<'a> Engine<'a> {
                 return;
             }
         }
+    }
+
+    /// COST: can no completion of this node beat the incumbent? With
+    /// tie-keeping semantics (deterministic parallel mode) the cut keeps an
+    /// eps-slack *above* the bound instead of below it: subtrees that might
+    /// contain an exact-minimal leaf are always explored no matter how fast
+    /// another worker tightened the incumbent, which is what makes the
+    /// parallel result schedule-independent. The cover term is only
+    /// computed where the plain bound fails, and not at all under
+    /// `plain_only`. Under the penalty objective the plain bound adds the
+    /// IC shortfall priced at λ ([`Self::penalty_lb`]).
+    #[inline]
+    fn cost_cut(&self, plain_only: bool) -> bool {
+        let Some(best) = self.incumbent_objective() else {
+            return false;
+        };
+        let tie_keeping = self.tie_keeping;
+        let cut = |lb: f64| {
+            if tie_keeping {
+                lb > best * (1.0 + BOUND_EPS)
+            } else {
+                lb >= best * (1.0 - BOUND_EPS)
+            }
+        };
+        let lb = self.cost + self.cost_lb_rem;
+        let plain = if PENALTY { lb + self.penalty_lb() } else { lb };
+        cut(plain) || (!plain_only && self.proof_bounds && cut(lb + self.deficit_cover()))
     }
 
     /// Forward `on_assign` to the attached nogood store (no-op without one).
@@ -1088,11 +1154,17 @@ impl<'a> Engine<'a> {
     /// buying cheapest-first (the order `Prep` sorted once) can only cost
     /// less than any real completion. Runs out of sellers only where COMPL
     /// fires; the partial sum is still a lower bound.
+    ///
+    /// Under the penalty objective a unit of deficit left open costs `λ`, so
+    /// the fill stops at the first seller whose price reaches `λ` and every
+    /// unit still needed (including what the sellers cannot supply) is
+    /// charged `λ`: the exact minimum of cover plus penalty over the same
+    /// relaxation.
     fn deficit_cover(&self) -> f64 {
         let mut need = self.goal_lo() - self.fic;
         let mut extra = 0.0;
         for it in &self.prep.cover {
-            if need <= 0.0 {
+            if need <= 0.0 || (PENALTY && it.density >= self.lambda) {
                 break;
             }
             let u = it.var as usize;
@@ -1104,6 +1176,9 @@ impl<'a> Engine<'a> {
                 extra += gain.min(need) * it.density;
                 need -= gain;
             }
+        }
+        if PENALTY {
+            extra += self.lambda * need.max(0.0);
         }
         extra
     }
@@ -1165,8 +1240,8 @@ impl<'a> Engine<'a> {
     /// A complete assignment was reached: recompute FIC/cost exactly (kills
     /// incremental drift), re-validate, and record if improving.
     fn record_leaf(&mut self) {
-        let (cost, fic, max_rel_load) = self.recompute_exact();
-        if fic < self.prep.goal_fic * (1.0 - BOUND_EPS) {
+        let (cost_rate, fic, max_rel_load) = self.recompute_exact();
+        if !PENALTY && fic < self.prep.goal_fic * (1.0 - BOUND_EPS) {
             // Only reachable when COMPL pruning is disabled (ablation mode).
             return;
         }
@@ -1174,9 +1249,14 @@ impl<'a> Engine<'a> {
             // Only reachable when CPU pruning is disabled (ablation mode).
             return;
         }
-        let incumbent = self.incumbent_cost();
+        let objective = if PENALTY {
+            penalized(self.prep, self.lambda, cost_rate, fic)
+        } else {
+            cost_rate
+        };
+        let incumbent = self.incumbent_objective();
         let improving = match incumbent {
-            Some(b) => cost < b * (1.0 - BOUND_EPS),
+            Some(b) => objective < b * (1.0 - BOUND_EPS),
             None => true,
         };
         if !self.tie_keeping {
@@ -1185,11 +1265,11 @@ impl<'a> Engine<'a> {
             if !improving {
                 return;
             }
-            self.note_solution(cost, true);
+            self.note_solution(objective, true);
             let sol = RawSolution {
                 assign: self.assign.clone(),
-                cost_rate: cost,
                 fic_rate: fic,
+                objective,
             };
             if let Some(sh) = self.shared {
                 sh.offer(&sol);
@@ -1205,17 +1285,17 @@ impl<'a> Engine<'a> {
         // always reached) and resolve ties by the total order, so the final
         // incumbent does not depend on which worker got there first.
         let keep = match incumbent {
-            Some(b) => cost <= b * (1.0 + BOUND_EPS),
+            Some(b) => objective <= b * (1.0 + BOUND_EPS),
             None => true,
         };
         if !keep {
             return;
         }
-        self.note_solution(cost, improving);
+        self.note_solution(objective, improving);
         let sol = RawSolution {
             assign: self.assign.clone(),
-            cost_rate: cost,
             fic_rate: fic,
+            objective,
         };
         if let Some(sh) = self.shared {
             sh.offer(&sol);
@@ -1449,7 +1529,8 @@ mod tests {
     fn run_in(prep: &Prep, order: Option<&[u32]>) -> (Option<RawSolution>, SearchStats) {
         let opts = FtSearchConfig::default();
         let start = Instant::now();
-        let mut eng = Engine::new(prep, &opts, start, start + Duration::from_secs(10), None);
+        let mut eng =
+            Engine::<false>::new(prep, &opts, start, start + Duration::from_secs(10), None);
         if let Some(o) = order {
             eng.set_order(o);
         }
@@ -1548,7 +1629,7 @@ mod tests {
             let answer = |order: Option<&[u32]>| {
                 let (sol, stats) = run_in(&prep, order);
                 assert!(stats.proved, "{what}");
-                sol.map(|s| s.cost_rate.to_bits())
+                sol.map(|s| s.objective.to_bits())
             };
             assert_eq!(
                 answer(None),
@@ -1566,7 +1647,8 @@ mod tests {
         let order = [2u32, 3, 0, 1];
         let opts = FtSearchConfig::default();
         let start = Instant::now();
-        let mut eng = Engine::new(&prep, &opts, start, start + Duration::from_secs(10), None);
+        let mut eng =
+            Engine::<false>::new(&prep, &opts, start, start + Duration::from_secs(10), None);
         eng.set_order(&order);
         assert!(eng.push_prefix(&[Val::Only0]));
         let removed: Vec<usize> = eng.trail.iter().map(|t| t.var as usize).collect();
@@ -1591,7 +1673,7 @@ mod tests {
         let opts = FtSearchConfig::default();
         let start = Instant::now();
         let deadline = start + Duration::from_secs(10);
-        let mut eng = Engine::new(&prep, &opts, start, deadline, None);
+        let mut eng = Engine::<false>::new(&prep, &opts, start, deadline, None);
         let (sol, timed_out) = eng.run(0);
         assert!(!timed_out);
         (sol, eng.stats)
@@ -1606,7 +1688,7 @@ mod tests {
         assert!(sol.fic_rate >= 0.6 * 9.6 - 1e-9);
         // Optimal: fully replicate in Low (0.8 * 2 PEs * 400 * 2 replicas),
         // single replicas at High (0.2 * 2 * 800): cost = 1280 + 320 = 1600.
-        assert!((sol.cost_rate - 1600.0).abs() < 1e-6, "{}", sol.cost_rate);
+        assert!((sol.objective - 1600.0).abs() < 1e-6, "{}", sol.objective);
     }
 
     #[test]
@@ -1615,7 +1697,7 @@ mod tests {
         let sol = sol.expect("feasible");
         // Cheapest valid strategy: one replica everywhere.
         // cost = 0.8*2*400 + 0.2*2*800 = 640 + 320 = 960.
-        assert!((sol.cost_rate - 960.0).abs() < 1e-6, "{}", sol.cost_rate);
+        assert!((sol.objective - 960.0).abs() < 1e-6, "{}", sol.objective);
     }
 
     #[test]

@@ -103,12 +103,14 @@ pub struct SearchStats {
     pub prune_heights: [u64; NUM_PRUNE_KINDS],
     /// Wall-clock time at which the first feasible solution was found.
     pub time_to_first: Option<Duration>,
-    /// Cost of the first feasible solution found.
+    /// Objective of the first solution found (its cost rate under
+    /// `Objective::Hard`).
     pub first_cost: Option<f64>,
     /// Wall-clock time at which the best (possibly optimal) solution was
     /// found.
     pub time_to_best: Option<Duration>,
-    /// Cost of the best solution found.
+    /// Objective of the best solution found (its cost rate under
+    /// `Objective::Hard`).
     pub best_cost: Option<f64>,
     /// Number of feasible solutions encountered (improvements only).
     pub improvements: u64,

@@ -109,59 +109,13 @@ impl FailureModel for IndependentFailure {
     }
 }
 
-/// A *single-host* failure model: exactly one host is down (each host
-/// equally likely), and the IC is the expectation over which host it is.
-/// This mirrors the paper's host-crash experiment (§5.3, Fig. 11 bottom)
-/// analytically: a PE survives the crash of host `h` when it has an active
-/// replica placed on some other host.
-#[derive(Debug, Clone)]
-pub struct SingleHostFailure {
-    /// `host_of[pe_dense][replica]` — dense host index per replica.
-    host_of: Vec<Vec<usize>>,
-    num_hosts: usize,
-}
-
-impl SingleHostFailure {
-    /// Build from a placement.
-    pub fn new(placement: &laar_model::Placement) -> Self {
-        let k = placement.k();
-        let host_of = (0..placement.num_pes())
-            .map(|pe| (0..k).map(|r| placement.host_of(pe, r).index()).collect())
-            .collect();
-        Self {
-            host_of,
-            num_hosts: placement.num_hosts(),
-        }
-    }
-}
-
-impl FailureModel for SingleHostFailure {
-    fn phi(&self, pe_dense: usize, c: ConfigId, s: &ActivationStrategy) -> f64 {
-        // Average over the crashing host of [some active replica off-host].
-        // NOTE: used through eqs. 6–7 this is a mean-field value — survival
-        // is correlated across PEs sharing hosts. Use
-        // [`exact_single_host_ic`] for the exact expectation.
-        let mut surviving = 0usize;
-        for h in 0..self.num_hosts {
-            let alive = self.host_of[pe_dense]
-                .iter()
-                .enumerate()
-                .any(|(r, &rh)| rh != h && s.is_active(pe_dense, c, r));
-            if alive {
-                surviving += 1;
-            }
-        }
-        surviving as f64 / self.num_hosts as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "single-host"
-    }
-}
-
 /// The deterministic "host `h` is down" model: `φ = 1` iff the PE has an
-/// active replica on some other host. Building block for
-/// [`exact_single_host_ic`] and useful on its own for what-if analyses.
+/// active replica on some other host. It mirrors the paper's host-crash
+/// experiment (§5.3, Fig. 11 bottom) analytically; the minimum over `h` is
+/// the IC a strategy keeps under any single host crash. With replicas on
+/// distinct hosts (which `Placement` enforces) every fully replicated cell
+/// survives any one crash, so each host's IC is at least the pessimistic
+/// bound of eq. 14.
 #[derive(Debug, Clone)]
 pub struct HostDown {
     host_of: Vec<Vec<usize>>,
@@ -198,25 +152,6 @@ impl FailureModel for HostDown {
     fn name(&self) -> &'static str {
         "host-down"
     }
-}
-
-/// Exact expected IC when exactly one (uniformly random) host is down for
-/// the whole billing period: averages the deterministic per-host ICs, so
-/// cross-PE survival correlations are handled exactly (unlike feeding
-/// [`SingleHostFailure`] through the mean-field recursion).
-pub fn exact_single_host_ic(
-    ev: &IcEvaluator<'_>,
-    placement: &laar_model::Placement,
-    s: &ActivationStrategy,
-) -> f64 {
-    let n = placement.num_hosts();
-    if n == 0 {
-        return 1.0;
-    }
-    (0..n)
-        .map(|h| ev.ic(s, &HostDown::new(placement, h)))
-        .sum::<f64>()
-        / n as f64
 }
 
 /// Evaluator for BIC / FIC / IC over one application.
@@ -481,23 +416,29 @@ mod tests {
             vec![HostId(0), HostId(1), HostId(0), HostId(1)],
         )
         .unwrap();
+        let host_ics = |s: &ActivationStrategy| -> Vec<f64> {
+            (0..2)
+                .map(|h| ev.ic(s, &HostDown::new(&placement, h)))
+                .collect()
+        };
         let sr = ActivationStrategy::all_active(2, 2, 2);
         // Full replication survives any single host crash completely.
-        for h in 0..2 {
-            assert!((ev.ic(&sr, &HostDown::new(&placement, h)) - 1.0).abs() < 1e-12);
+        for ic in host_ics(&sr) {
+            assert!((ic - 1.0).abs() < 1e-12);
         }
-        assert!((exact_single_host_ic(&ev, &placement, &sr) - 1.0).abs() < 1e-12);
 
         // Fig. 2b strategy: at High, pe1 is active only on host 0 and pe2
         // only on host 1 — either crash silences one PE at High, and with
-        // it the downstream chain share.
+        // it the downstream chain share. Losing host 0 silences the whole
+        // chain at High, which is exactly the pessimistic bound (2/3);
+        // losing host 1 keeps pe1's share.
         let mut s = sr.clone();
         s.set_active(0, ConfigId(1), 1, false);
         s.set_active(1, ConfigId(1), 0, false);
-        let exact = exact_single_host_ic(&ev, &placement, &s);
-        assert!(exact < 1.0);
-        // Still far better than the pessimistic bound (2/3).
-        assert!(exact > ev.ic(&s, &PessimisticFailure));
+        let pess = ev.ic(&s, &PessimisticFailure);
+        let ics = host_ics(&s);
+        assert!((ics[0] - pess).abs() < 1e-12, "{ics:?} vs {pess}");
+        assert!(ics[1] > pess && ics[1] < 1.0, "{ics:?}");
     }
 
     #[test]

@@ -24,8 +24,7 @@ pub use cost::CostModel;
 pub use error::{CoreError, Violation};
 pub use ftsearch::{FtSearchConfig, Outcome, SearchReport, SearchStats, Solution};
 pub use ic::{
-    exact_single_host_ic, FailureModel, HostDown, IcEvaluator, IndependentFailure, NoFailure,
-    PessimisticFailure, SingleHostFailure,
+    FailureModel, HostDown, IcEvaluator, IndependentFailure, NoFailure, PessimisticFailure,
 };
 pub use monitor::RateMonitor;
 pub use placement_opt::{optimize_placement, PlacementSearchConfig, PlacementSearchResult};

@@ -7,7 +7,7 @@
 
 use crate::error::ModelError;
 use crate::graph::{ApplicationGraph, ComponentId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Identifier of a deployment host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -53,8 +53,11 @@ impl ReplicaId {
 /// A validated replicated assignment `ϑ : P̃ → H`.
 ///
 /// Indexing is dense: `assignment[pe_dense_index * k + replica]` holds the
-/// host of that replica.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// host of that replica. A placement read from JSON goes through the checks
+/// of [`Placement::new`] except the ones that need the graph: its PE count
+/// is checked against the application's by `Problem::new`, and a
+/// co-location error names the PE by its dense index.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Placement {
     /// Replication factor `k` (the paper's FT-Search fixes `k = 2`).
     k: usize,
@@ -80,7 +83,23 @@ impl Placement {
         hosts: Vec<Host>,
         assignment: Vec<HostId>,
     ) -> Result<Self, ModelError> {
-        let num_pes = graph.num_pes();
+        Self::from_parts(k, hosts, assignment, graph.num_pes()).map_err(|e| match e {
+            ModelError::CoLocatedReplicas { pe, host } => ModelError::CoLocatedReplicas {
+                pe: graph.pes()[pe as usize].0,
+                host,
+            },
+            e => e,
+        })
+    }
+
+    /// The checks of [`Placement::new`] over `num_pes` PEs, in its order; a
+    /// co-location error names the PE by its dense index.
+    fn from_parts(
+        k: usize,
+        hosts: Vec<Host>,
+        assignment: Vec<HostId>,
+        num_pes: usize,
+    ) -> Result<Self, ModelError> {
         if assignment.len() != num_pes * k {
             return Err(ModelError::IncompletePlacement);
         }
@@ -98,12 +117,12 @@ impl Placement {
             }
         }
         if hosts.len() > 1 {
-            for (i, &pe) in graph.pes().iter().enumerate() {
+            for i in 0..num_pes {
                 for a in 0..k {
                     for b in (a + 1)..k {
                         if assignment[i * k + a] == assignment[i * k + b] {
                             return Err(ModelError::CoLocatedReplicas {
-                                pe: pe.0,
+                                pe: i as u32,
                                 host: assignment[i * k + a].0,
                             });
                         }
@@ -192,6 +211,22 @@ impl Placement {
     }
 }
 
+impl Deserialize for Placement {
+    fn deser(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("Placement object", v))?;
+        let field = |name| obj.get(name).unwrap_or(&Value::Null);
+        Self::from_parts(
+            Deserialize::deser(field("k"))?,
+            Deserialize::deser(field("hosts"))?,
+            Deserialize::deser(field("assignment"))?,
+            Deserialize::deser(field("num_pes"))?,
+        )
+        .map_err(|e| DeError(e.to_string()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,11 +261,57 @@ mod tests {
     fn colocated_replicas_rejected() {
         let g = two_pe_graph();
         let hosts = Placement::uniform_hosts(2, 1e9);
-        let assignment = vec![HostId(0), HostId(0), HostId(0), HostId(1)];
-        assert!(matches!(
+        let assignment = vec![HostId(0), HostId(1), HostId(1), HostId(1)];
+        // The error names the PE by its component id.
+        assert_eq!(
             Placement::new(&g, 2, hosts, assignment),
-            Err(ModelError::CoLocatedReplicas { .. })
-        ));
+            Err(ModelError::CoLocatedReplicas {
+                pe: g.pes()[1].0,
+                host: 1
+            })
+        );
+    }
+
+    #[test]
+    fn placement_json_is_checked_like_the_constructor() {
+        let g = two_pe_graph();
+        let hosts = Placement::uniform_hosts(3, 1e9);
+        let assignment = vec![HostId(0), HostId(1), HostId(1), HostId(2)];
+        let good = Placement::new(&g, 2, hosts, assignment).unwrap();
+        let s = serde_json::to_string(&good).unwrap();
+        assert_eq!(serde_json::from_str::<Placement>(&s).unwrap(), good);
+        let assignment = "\"assignment\":[0,1,1,2]";
+        let capacity = "\"capacity\":1000000000";
+        assert!(s.contains(assignment) && s.contains(capacity), "{s}");
+        let first_host = s.find(capacity).unwrap() + capacity.len();
+        let hosts = &s[s.find("\"hosts\":").unwrap()..s.find(",\"k\"").unwrap()];
+        for (what, bad) in [
+            (
+                "unknown host",
+                s.replace(assignment, "\"assignment\":[0,99,1,2]"),
+            ),
+            (
+                "short assignment",
+                s.replace(assignment, "\"assignment\":[0,1]"),
+            ),
+            ("no hosts", s.replace(hosts, "\"hosts\":[]")),
+            ("zero capacity", s.replacen(capacity, "\"capacity\":0", 1)),
+            (
+                "negative capacity",
+                format!(
+                    "{}{}",
+                    &s[..first_host],
+                    s[first_host..].replacen(capacity, "\"capacity\":-5", 1)
+                ),
+            ),
+            (
+                "co-located replicas",
+                s.replace(assignment, "\"assignment\":[0,1,2,2]"),
+            ),
+        ] {
+            assert_ne!(bad, s, "{what}: the edit applies");
+            assert!(serde_json::from_str::<Placement>(&bad).is_err(), "{what}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! Run with: `cargo run --release --example extensions_tour`
 
 use laar::prelude::*;
-use laar_core::ftsearch::{solve_decomposed, solve_soft};
-use laar_core::ic::{exact_single_host_ic, IndependentFailure};
+use laar_core::ftsearch::Objective;
+use laar_core::ic::{HostDown, IndependentFailure};
 use laar_core::{optimize_placement, PlacementSearchConfig};
 use laar_dsps::profiler::profile_application;
 use std::time::Duration;
@@ -30,7 +30,11 @@ fn main() {
         10,
     );
     let problem = Problem::new(gen.app.clone(), gen.placement.clone(), 0.6).unwrap();
-    let report = solve_decomposed(&problem, Duration::from_secs(20)).unwrap();
+    let report = ftsearch::solve(
+        &problem,
+        &FtSearchConfig::with_time_limit(Duration::from_secs(20)),
+    )
+    .unwrap();
     let solution = report.outcome.solution().expect("feasible").clone();
     println!(
         "base strategy: IC bound {:.3} (pessimistic), cost {:.1}\n",
@@ -47,21 +51,30 @@ fn main() {
             ev.ic(&solution.strategy, &IndependentFailure::new(p_down))
         );
     }
-    println!(
-        "  exact single-host crash    : {:.3}",
-        exact_single_host_ic(&ev, &problem.placement, &solution.strategy)
-    );
+    let worst_host = (0..problem.placement.num_hosts())
+        .map(|h| ev.ic(&solution.strategy, &HostDown::new(&problem.placement, h)))
+        .fold(f64::INFINITY, f64::min);
+    println!("  worst single-host crash    : {worst_host:.3}");
 
     // --- 2. The penalty model (soft constraints). -------------------------
-    println!("\nsoft solves (penalty λ per missing FIC tuple/s, goal IC 0.9 — infeasible hard):");
+    println!("\npenalty solves (λ per missing FIC tuple/s, goal IC 0.9 — infeasible hard):");
     let hard = Problem::new(gen.app.clone(), gen.placement.clone(), 0.9).unwrap();
+    let bic_rate = hard.ic_evaluator().bic() / gen.app.billing_period();
     for lambda in [0.0, 100.0, 10_000.0] {
-        match solve_soft(&hard, lambda, Duration::from_secs(20)).unwrap() {
-            Some(soft) => println!(
-                "  λ = {lambda:>7}: cost {:>8.1}, IC {:.3}, shortfall {:.2} t/s",
-                soft.solution.cost_cycles, soft.solution.ic, soft.ic_shortfall_rate
+        let opts = FtSearchConfig {
+            objective: Objective::Penalty(lambda),
+            ..FtSearchConfig::with_time_limit(Duration::from_secs(20))
+        };
+        let report = ftsearch::solve(&hard, &opts).unwrap();
+        match report.outcome.solution() {
+            Some(s) => println!(
+                "  λ = {lambda:>7}: {} cost {:>8.1}, IC {:.3}, shortfall {:.2} t/s",
+                report.outcome.label(),
+                s.cost_cycles,
+                s.ic,
+                (0.9 - s.ic).max(0.0) * bic_rate
             ),
-            None => println!("  λ = {lambda:>7}: timed out"),
+            None => println!("  λ = {lambda:>7}: {}", report.outcome.label()),
         }
     }
 

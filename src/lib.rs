@@ -17,7 +17,7 @@
 //! * [`model`] (`laar-model`) — application graphs, descriptors, input
 //!   configurations, placements, activation strategies;
 //! * [`core`] (`laar-core`) — the IC metric, cost model, the FT-Search
-//!   optimizer (plus an exact decomposed solver), baseline variants, and
+//!   optimizer (hard IC goal or the penalty model), baseline variants, and
 //!   the runtime control plane (rate monitor, HAController);
 //! * [`exec`] (`laar-exec`) — the backend-agnostic execution core: the
 //!   replica/HA state machine, HAProxy command/election protocol, the

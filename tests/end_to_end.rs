@@ -183,28 +183,38 @@ fn decomposed_and_monolithic_agree_on_generated_instances() {
             },
             seed,
         );
+        // A penalty steep enough that no cost saving pays for any IC
+        // shortfall: where the hard problem is feasible the penalty
+        // optimum is the hard one, label and cost.
         for ic in [0.5, 0.7] {
             let problem = Problem::new(gen.app.clone(), gen.placement.clone(), ic).unwrap();
-            let mono = ftsearch::solve(
+            let hard_opts = FtSearchConfig::with_time_limit(Duration::from_secs(20));
+            let hard = ftsearch::solve(&problem, &hard_opts).unwrap();
+            let steep = ftsearch::solve(
                 &problem,
-                &FtSearchConfig::with_time_limit(Duration::from_secs(20)),
+                &FtSearchConfig {
+                    objective: ftsearch::Objective::Penalty(1e8),
+                    ..hard_opts
+                },
             )
             .unwrap();
-            let deco = ftsearch::solve_decomposed(&problem, Duration::from_secs(20)).unwrap();
-            match (mono.outcome.solution(), deco.outcome.solution()) {
-                (Some(a), Some(b)) => assert!(
-                    (a.cost_cycles - b.cost_cycles).abs() < 1e-6 * a.cost_cycles.max(1.0),
-                    "seed {seed} ic {ic}: {} vs {}",
-                    a.cost_cycles,
-                    b.cost_cycles
-                ),
-                (None, None) => {}
-                (a, b) => panic!(
-                    "seed {seed} ic {ic}: solvers disagree ({} vs {})",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            }
+            let Some(a) = hard.outcome.solution() else {
+                assert_eq!(hard.outcome.label(), "NUL", "seed {seed} ic {ic}");
+                continue;
+            };
+            assert_eq!(
+                hard.outcome.label(),
+                steep.outcome.label(),
+                "seed {seed} ic {ic}"
+            );
+            let b = steep.outcome.solution().unwrap();
+            assert!(
+                (a.cost_cycles - b.cost_cycles).abs() < 1e-6 * a.cost_cycles.max(1.0),
+                "seed {seed} ic {ic}: {} vs {}",
+                a.cost_cycles,
+                b.cost_cycles
+            );
+            assert!(b.ic >= ic - 1e-9, "seed {seed} ic {ic}: {}", b.ic);
         }
     }
 }

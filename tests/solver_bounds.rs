@@ -1,22 +1,24 @@
 //! Soundness of the deterministic engine's bounds — the IC-deficit cover
-//! bound, CPU forward checking and the root presolve — pinned from outside
-//! the solver: a brute-force oracle that knows only `Problem::check` and the
-//! cost function must agree with every verdict and optimum, and two
+//! bound, CPU forward checking, the root presolve and the penalty
+//! objective's node bound — pinned from outside the solver: a brute-force
+//! oracle that knows only the public constraint checks, the cost function
+//! and the IC evaluator must agree with every verdict and optimum, under
+//! the hard objective and under the penalty one at three rates, and two
 //! hand-built instances isolate the cover bound and forward checking (each
 //! proves in fewer nodes than the engine before them did, with the verdict
 //! and optimum of the ablated search).
 
 use laar_core::ftsearch::{
-    solve, solve_decomposed, solve_parallel, solve_soft, solve_with_warm_start, FtSearchConfig,
-    Outcome, PruneKind, SearchMode, SearchReport,
+    solve, solve_parallel, solve_with_warm_start, FtSearchConfig, Objective, Outcome, PruneKind,
+    SearchMode, SearchReport,
 };
-use laar_core::{Problem, Violation};
+use laar_core::problem::FEASIBILITY_EPS;
+use laar_core::{PessimisticFailure, Problem, Solution};
 use laar_gen::GenParams;
 use laar_model::{
     ActivationStrategy, Application, ConfigId, ConfigSpace, GraphBuilder, Host, HostId, Placement,
 };
 use proptest::prelude::*;
-use std::time::Duration;
 
 /// What exhaustive enumeration of all `3^(|P|·|C|)` strategies finds.
 struct Oracle {
@@ -24,17 +26,38 @@ struct Oracle {
     cpu_feasible: bool,
     /// Cheapest cost over the strategies with no violation at all.
     best_cost: Option<f64>,
+    /// Per penalty rate asked for, the least [`penalized`] objective over
+    /// the CPU-feasible strategies.
+    best_penalized: Vec<Option<f64>>,
 }
 
-fn oracle(p: &Problem) -> Oracle {
+/// The penalty objective in cycles over the billing period:
+/// `cost + λ·max(0, goal·BIC − FIC)`.
+fn penalized(p: &Problem, lambda: f64, cost: f64, fic: f64) -> f64 {
+    cost + lambda * (p.ic_requirement * p.ic_evaluator().bic() - fic).max(0.0)
+}
+
+/// [`penalized`] of a strategy the solver returned.
+fn solution_penalized(p: &Problem, lambda: f64, sol: &Solution) -> f64 {
+    let fic = p.ic_evaluator().fic(&sol.strategy, &PessimisticFailure);
+    penalized(p, lambda, sol.cost_cycles, fic)
+}
+
+/// One pass over every strategy: eq. 12 holds by construction, eq. 11 is
+/// checked first, and only the strategies that fit the cluster are
+/// evaluated for cost and FIC (for eq. 10 and the penalty objectives).
+fn oracle(p: &Problem, lambdas: &[f64]) -> Oracle {
     let (np, nq) = (p.num_pes(), p.num_configs());
     let cells = np * nq;
     assert!(cells <= 12, "oracle enumerates 3^{cells} strategies");
     let cm = p.cost_model();
+    let ev = p.ic_evaluator();
     let mut out = Oracle {
         cpu_feasible: false,
         best_cost: None,
+        best_penalized: vec![None; lambdas.len()],
     };
+    let keep_min = |slot: &mut Option<f64>, x: f64| *slot = Some(slot.map_or(x, |b| b.min(x)));
     for code in 0..3usize.pow(cells as u32) {
         let mut s = ActivationStrategy::all_inactive(np, nq, 2);
         let mut rem = code;
@@ -52,16 +75,50 @@ fn oracle(p: &Problem) -> Oracle {
                 rem /= 3;
             }
         }
-        let violations = p.check(&s);
-        out.cpu_feasible |= !violations
-            .iter()
-            .any(|v| matches!(v, Violation::HostOverloaded { .. }));
-        if violations.is_empty() {
-            let cost = cm.cost_cycles(&s);
-            out.best_cost = Some(out.best_cost.map_or(cost, |b: f64| b.min(cost)));
+        if cm.check_no_overload(&s).is_err() {
+            continue;
+        }
+        out.cpu_feasible = true;
+        let cost = cm.cost_cycles(&s);
+        let fic = ev.fic(&s, &PessimisticFailure);
+        // `Problem::check`'s eq. 10 test, on the FIC already in hand.
+        let ic = if ev.bic() == 0.0 { 1.0 } else { fic / ev.bic() };
+        if ic >= p.ic_requirement * (1.0 - FEASIBILITY_EPS) {
+            keep_min(&mut out.best_cost, cost);
+        }
+        for (slot, &lambda) in out.best_penalized.iter_mut().zip(lambdas) {
+            keep_min(slot, penalized(p, lambda, cost, fic));
         }
     }
     out
+}
+
+/// `report` under the penalty objective at `lambda` (the oracle's
+/// `lambda_index`-th rate) against the brute-force optimum.
+fn assert_penalty_matches_oracle(
+    p: &Problem,
+    report: &SearchReport,
+    oracle: &Oracle,
+    lambda_index: usize,
+    lambda: f64,
+    what: &str,
+) {
+    assert!(report.stats.proved, "{what}: small instances must prove");
+    match (&report.outcome, oracle.best_penalized[lambda_index]) {
+        (Outcome::Optimal(sol), Some(best)) => {
+            let got = solution_penalized(p, lambda, sol);
+            assert!(
+                (got - best).abs() <= 1e-8 * best.max(1.0),
+                "{what}: objective {got} vs brute force {best}"
+            );
+            assert!(
+                p.cost_model().check_no_overload(&sol.strategy).is_ok(),
+                "{what}"
+            );
+        }
+        (Outcome::Infeasible, None) => {}
+        (o, b) => panic!("{what}: {} vs brute force {b:?}", o.label()),
+    }
 }
 
 fn assert_matches_oracle(p: &Problem, report: &SearchReport, oracle: &Oracle, what: &str) {
@@ -128,7 +185,12 @@ proptest! {
             seed,
         );
         let p = Problem::new(gen.app, gen.placement, f64::from(ic_step) / 10.0).unwrap();
-        let truth = oracle(&p);
+        // λ = 0 prices the IC at nothing, 10⁶ above any cost per tuple, and
+        // the mean price of FIC (single-replica cost over BIC) in between.
+        let all_active = ActivationStrategy::all_active(p.num_pes(), p.num_configs(), 2);
+        let mid = p.cost_model().cost_cycles(&all_active) / (2.0 * p.ic_evaluator().bic());
+        let lambdas = [0.0, mid, 1e6];
+        let truth = oracle(&p, &lambdas);
         let full = solve(&p, &FtSearchConfig::default()).unwrap();
         assert_matches_oracle(&p, &full, &truth, "solve");
         let par = solve_parallel(&p, &FtSearchConfig { threads: 2, ..FtSearchConfig::default() })
@@ -139,6 +201,30 @@ proptest! {
             let ablated = solve(&p, &opts).unwrap();
             prop_assert!(prune_cpu || ablated.stats.root_conflict.is_none());
             assert_matches_oracle(&p, &ablated, &truth, "ablated solve");
+        }
+        for (i, &lambda) in lambdas.iter().enumerate() {
+            let penalty = FtSearchConfig {
+                objective: Objective::Penalty(lambda),
+                ..FtSearchConfig::default()
+            };
+            let report = solve(&p, &penalty).unwrap();
+            assert_penalty_matches_oracle(&p, &report, &truth, i, lambda, "penalty");
+            if i == 1 {
+                let par = solve_parallel(&p, &FtSearchConfig { threads: 2, ..penalty.clone() })
+                    .unwrap();
+                assert_penalty_matches_oracle(&p, &par, &truth, i, lambda, "parallel penalty");
+                let cp = solve(&p, &FtSearchConfig { mode: SearchMode::Portfolio, ..penalty })
+                    .unwrap();
+                assert_penalty_matches_oracle(&p, &cp, &truth, i, lambda, "cp penalty");
+            }
+            // At 10⁶ the penalty optimum is the hard one wherever that exists.
+            if let (2, Some(hard), Some(sol)) = (i, truth.best_cost, report.outcome.solution()) {
+                prop_assert!(
+                    (sol.cost_cycles - hard).abs() <= 1e-9 * hard.max(1.0),
+                    "λ = 10⁶: cost {} vs hard optimum {hard}",
+                    sol.cost_cycles
+                );
+            }
         }
     }
 }
@@ -277,8 +363,14 @@ fn root_conflict_ends_every_entry_point_at_the_root() {
         ("solve (cp)", solve(&p, &cp)),
         ("solve_parallel (portfolio)", solve_parallel(&p, &cp)),
         (
-            "solve_decomposed",
-            solve_decomposed(&p, Duration::from_secs(10)),
+            "solve (penalty)",
+            solve(
+                &p,
+                &FtSearchConfig {
+                    objective: Objective::Penalty(1e6),
+                    ..FtSearchConfig::default()
+                },
+            ),
         ),
     ];
     for (what, report) in reports {
@@ -295,9 +387,6 @@ fn root_conflict_ends_every_entry_point_at_the_root() {
         assert_eq!(rc.hosts, [HostId(0), HostId(1)], "{what}");
         assert_eq!(rc.capacities, [70.0, 70.0], "{what}");
     }
-    assert!(solve_soft(&p, 1e6, Duration::from_secs(10))
-        .unwrap()
-        .is_none());
     // `prune_cpu = false` switches the presolve off with the rest of the CPU
     // reasoning; the search reaches the same verdict the long way.
     let no_cpu = solve(
