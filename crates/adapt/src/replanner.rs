@@ -7,9 +7,12 @@
 //! and the search degrades gracefully into "return the best improvement
 //! found so far" under its budget. The pass runs the CP engine
 //! ([`laar_core::ftsearch::SearchMode::Portfolio`], sequential): geometric
-//! restarts and LNS rounds around the warm incumbent, so most of the
-//! budget is spent *improving* the installed strategy rather than
-//! re-proving the prefix the incumbent already dominates. The budget is a
+//! restarts and LNS rounds around the warm incumbent spend the budget
+//! *improving* the installed strategy rather than re-proving the prefix
+//! the incumbent already dominates, and once a restart run ends holding an
+//! incumbent, one run of the deterministic engine, under a bounded share
+//! of the budget, tries to prove it optimal, which ends the pass early with
+//! a `BST` label when it succeeds. The budget is a
 //! deterministic *node limit* rather than a wall-clock limit, and the CP
 //! engine is deterministic under node budgets (its RNG is seeded and all
 //! its restart/LNS scheduling is metered in nodes) — both engines re-plan

@@ -73,6 +73,14 @@ pub enum CoreError {
     InvalidIcRequirement(f64),
     /// The soft solver's penalty rate is negative or not finite.
     InvalidPenaltyRate(f64),
+    /// The CP engine's restart cap is below the budget of its first
+    /// restart (`restart_base`, at least 64 nodes).
+    InvalidRestartCap {
+        /// The configured `restart_cap`.
+        cap: u64,
+        /// The first restart's budget it must not undercut.
+        first: u64,
+    },
     /// The model layer rejected something.
     Model(laar_model::ModelError),
 }
@@ -94,6 +102,12 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidPenaltyRate(v) => {
                 write!(f, "penalty rate {v} is not a finite number >= 0")
+            }
+            CoreError::InvalidRestartCap { cap, first } => {
+                write!(
+                    f,
+                    "restart cap {cap} is below the first restart's budget {first}"
+                )
             }
             CoreError::Model(e) => write!(f, "model error: {e}"),
         }

@@ -12,7 +12,8 @@
 use super::nogood::NogoodStore;
 use super::prep::Prep;
 use super::search::{
-    admit, evaluate_assignment, priority_order, Engine, RawSolution, Val, ValuePolicy,
+    admit, evaluate_assignment, fail_first_order, priority_order, Engine, RawSolution, Val,
+    ValuePolicy,
 };
 use super::stats::SearchStats;
 use super::{better_solution, FtSearchConfig, SharedBest};
@@ -417,6 +418,15 @@ fn publish_new(pool: Option<&NogoodPool>, ng: &NogoodStore, published: &mut usiz
     }
 }
 
+/// Replace `best` by `sol` when `sol` is better under [`better_solution`].
+fn keep_better(best: &mut Option<RawSolution>, sol: Option<RawSolution>) {
+    if let Some(s) = sol {
+        if best.as_ref().is_none_or(|b| better_solution(&s, b)) {
+            *best = Some(s);
+        }
+    }
+}
+
 /// Per-worker knobs; the portfolio varies these across workers.
 pub(crate) struct CpWorkerParams {
     pub seed: u64,
@@ -426,11 +436,32 @@ pub(crate) struct CpWorkerParams {
     pub worker_id: usize,
 }
 
+/// Node budget of the one proof run of a [`solve_cp`] call, sized on the
+/// re-plan corpus (`solver_corpus(40, 0xF75EA7C4)` at IC 0.5–0.7 under a
+/// 200 000-node budget): `1 << 14` does not fit the `adapt-drift`
+/// fixture's proof (28 724 nodes from its first incumbent), and at `1 << 16`
+/// the failed proofs leave the CP loop too few nodes (one re-plan 2.4 %
+/// dearer).
+const PROOF_RUN_NODES: u64 = 1 << 15;
+
 /// One CP worker: geometric restarts (keeping nogoods, activities, and the
-/// incumbent) interleaved with LNS rounds around the incumbent. Returns the
-/// best solution found and merged stats; `stats.proved` is set only when a
-/// restart run completed its whole tree within budget (never from an LNS
-/// run, whose tree is restricted to a neighborhood).
+/// incumbent) interleaved with LNS rounds around the incumbent.
+///
+/// Under the hard objective, right after the first restart run that ends
+/// holding an incumbent and before that restart's LNS rounds, the driver
+/// runs the deterministic engine once from that incumbent: fail-first
+/// order, proof bounds on, no nogoods or activities, cheapest value first,
+/// at most [`PROOF_RUN_NODES`] nodes, counted in the budget. Metered CP runs
+/// keep the proof bounds off and rarely finish a restart tree, so without
+/// it a warm-started solve spends its whole budget after it already holds
+/// the optimum. The proof run touches none of the nogoods, activities, RNG
+/// or restart schedule: when it neither proves nor improves, the loop goes
+/// on as it would have without it, on fewer nodes.
+///
+/// Returns the best solution found and merged stats; `stats.proved` is set
+/// only when a restart run or the proof run completed its whole tree within
+/// budget (never from an LNS run, whose tree is restricted to a
+/// neighborhood).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_cp<const PENALTY: bool>(
     prep: &Prep,
@@ -474,9 +505,11 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
     let global_limit = opts.node_limit;
     let mut nodes_used: u64 = 0;
     let mut proved = false;
+    let mut proof_run_done = false;
     let mut published = 0usize;
     let mut imported = 0usize;
-    let mut restart_len = params.restart_base.max(64);
+    let min_restart = params.restart_base.max(64);
+    let mut restart_len = min_restart;
     // Desync the neighborhood rotation across workers.
     let mut lns_round: u64 = params.worker_id as u64;
 
@@ -486,12 +519,14 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
             None => u64::MAX,
         }
     };
-
-    'outer: loop {
-        if Instant::now() >= deadline
+    let out_of_budget = |nodes_used: u64| {
+        Instant::now() >= deadline
             || shared.is_some_and(|s| s.is_cancelled())
             || remaining(nodes_used) == 0
-        {
+    };
+
+    'outer: loop {
+        if out_of_budget(nodes_used) {
             break;
         }
         if let Some(pool) = pool {
@@ -529,15 +564,7 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
             let (sol, timed_out) = eng.run(0);
             nodes_used += eng.stats.nodes;
             stats.merge(&eng.stats);
-            if let Some(s) = sol {
-                let take = match &best {
-                    Some(b) => better_solution(&s, b),
-                    None => true,
-                };
-                if take {
-                    best = Some(s);
-                }
-            }
+            keep_better(&mut best, sol);
             if !timed_out {
                 proved = true;
             }
@@ -548,13 +575,36 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
         }
         stats.restarts += 1;
 
+        // The one proof run, from the first incumbent a restart run ends
+        // holding. Hard objective only: under the penalty one the engine
+        // cannot refute singles before assigning them, the proof rarely fits
+        // the budget, and the nodes it spends come out of the LNS rounds
+        // that find the least-violating strategy.
+        if !PENALTY && !proof_run_done && best.is_some() {
+            proof_run_done = true;
+            if out_of_budget(nodes_used) {
+                break;
+            }
+            let order = fail_first_order(prep);
+            let mut eng = Engine::<PENALTY>::new(prep, &eng_opts, start, deadline, shared);
+            eng.set_order(&order);
+            eng.set_tie_keeping(false);
+            eng.set_node_budget(PROOF_RUN_NODES.min(remaining(nodes_used)));
+            eng.set_seed(best.clone().expect("checked above"));
+            let (sol, timed_out) = eng.run(0);
+            nodes_used += eng.stats.nodes;
+            stats.merge(&eng.stats);
+            keep_better(&mut best, sol);
+            if !timed_out {
+                proved = true;
+                break;
+            }
+        }
+
         // LNS rounds around the incumbent.
         if opts.cp.lns && best.is_some() {
             for _ in 0..opts.cp.lns_rounds_per_restart {
-                if Instant::now() >= deadline
-                    || shared.is_some_and(|s| s.is_cancelled())
-                    || remaining(nodes_used) == 0
-                {
+                if out_of_budget(nodes_used) {
                     break 'outer;
                 }
                 let b = best.clone().expect("lns requires incumbent");
@@ -577,21 +627,13 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
                 nodes_used += eng.stats.nodes;
                 stats.merge(&eng.stats);
                 stats.lns_rounds += 1;
-                if let Some(s) = sol {
-                    let take = match &best {
-                        Some(bb) => better_solution(&s, bb),
-                        None => true,
-                    };
-                    if take {
-                        best = Some(s);
-                    }
-                }
+                keep_better(&mut best, sol);
             }
             publish_new(pool, &ng, &mut published);
         }
 
         restart_len = (((restart_len as f64) * params.restart_factor) as u64)
-            .clamp(params.restart_base.max(64), opts.cp.restart_cap);
+            .clamp(min_restart, opts.cp.restart_cap.max(min_restart));
     }
 
     stats.nogoods_learned = ng.learned;

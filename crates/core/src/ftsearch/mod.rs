@@ -89,7 +89,9 @@ pub enum SearchMode {
     /// bit-identical incumbent for any thread count.
     Deterministic,
     /// CP-style anytime search: nogood learning, activity-guided ordering,
-    /// geometric restarts, and LNS around the incumbent. Under
+    /// geometric restarts, and LNS around the incumbent, plus (under the
+    /// hard objective) one node-budgeted run of the deterministic
+    /// configuration from the first incumbent, to prove it. Under
     /// [`solve_parallel`] this runs a portfolio of differently-seeded
     /// workers sharing the incumbent bound and short nogoods. Sequentially
     /// ([`solve`]) it is deterministic under node budgets (everything is
@@ -106,8 +108,10 @@ pub struct CpConfig {
     /// Geometric growth factor of the restart budget.
     pub restart_factor: f64,
     /// Upper clamp on the restart budget, so LNS keeps interleaving with
-    /// tree restarts on huge instances. A proof of optimality requires one
-    /// restart to finish its tree within this cap.
+    /// tree restarts on huge instances. A restart proves optimality only by
+    /// finishing its tree within this cap; the solve's one proof run from
+    /// its first incumbent does not depend on it. Must be at least the
+    /// first restart's budget (`restart_base`, at least 64 nodes).
     pub restart_cap: u64,
     /// Run LNS rounds around the incumbent between restarts.
     pub lns: bool,
@@ -576,10 +580,19 @@ fn check_problem(problem: &Problem, opts: &FtSearchConfig) -> Result<(), CoreErr
     if problem.k() != 2 {
         return Err(CoreError::UnsupportedReplication { k: problem.k() });
     }
-    match opts.objective.lambda() {
-        Some(l) if !(l >= 0.0 && l.is_finite()) => Err(CoreError::InvalidPenaltyRate(l)),
-        _ => Ok(()),
+    if let Some(l) = opts.objective.lambda() {
+        if !(l >= 0.0 && l.is_finite()) {
+            return Err(CoreError::InvalidPenaltyRate(l));
+        }
     }
+    let first = opts.cp.restart_base.max(64);
+    if opts.mode == SearchMode::Portfolio && opts.cp.restart_cap < first {
+        return Err(CoreError::InvalidRestartCap {
+            cap: opts.cp.restart_cap,
+            first,
+        });
+    }
+    Ok(())
 }
 
 /// Run sequential FT-Search on a problem.
@@ -587,9 +600,11 @@ fn check_problem(problem: &Problem, opts: &FtSearchConfig) -> Result<(), CoreErr
 /// # Errors
 ///
 /// Returns [`CoreError::UnsupportedReplication`] unless the placement uses
-/// `k = 2` (the paper's FT-Search restriction), and
+/// `k = 2` (the paper's FT-Search restriction),
 /// [`CoreError::InvalidPenaltyRate`] unless a penalty objective's `λ` is
-/// finite and non-negative.
+/// finite and non-negative, and [`CoreError::InvalidRestartCap`] when a
+/// [`SearchMode::Portfolio`] run's `cp.restart_cap` is below its first
+/// restart's budget (`cp.restart_base`, at least 64 nodes).
 pub fn solve(problem: &Problem, opts: &FtSearchConfig) -> Result<SearchReport, CoreError> {
     solve_with_warm_start(problem, opts, None)
 }
@@ -1180,6 +1195,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn restart_caps_below_the_first_restart_are_errors() {
+        let p = fig2_problem(0.6);
+        let cp = |restart_base, restart_cap| FtSearchConfig {
+            mode: SearchMode::Portfolio,
+            node_limit: Some(10_000),
+            cp: CpConfig {
+                restart_base,
+                restart_cap,
+                ..CpConfig::default()
+            },
+            ..FtSearchConfig::default()
+        };
+        for (base, cap, first) in [(4096, 1000, 4096), (4096, 4095, 4096), (1, 63, 64)] {
+            let opts = cp(base, cap);
+            for err in [
+                solve(&p, &opts).unwrap_err(),
+                solve_parallel(&p, &opts).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, CoreError::InvalidRestartCap { cap: c, first: f } if c == cap && f == first),
+                    "{base}/{cap}: {err}"
+                );
+            }
+        }
+        // A cap equal to the first restart's budget is legal, and the
+        // deterministic engine never reads it.
+        assert!(solve(&p, &cp(4096, 4096)).is_ok());
+        assert!(solve(&p, &cp(1, 64)).is_ok());
+        let det = FtSearchConfig {
+            mode: SearchMode::Deterministic,
+            ..cp(4096, 1000)
+        };
+        assert!(solve(&p, &det).is_ok());
     }
 
     #[test]

@@ -1525,12 +1525,19 @@ mod tests {
         Problem::new(app, placement, ic_req).unwrap()
     }
 
-    /// Run the engine to completion, in `order` or in the dense order.
+    /// Run the engine to completion, in `order` or in the dense order. The
+    /// run is bounded in nodes, ten times the largest tree of the fixtures
+    /// below (chain @ 0.5, 1 989 523 nodes in either order), with a deadline
+    /// far enough out never to bind, so a timeout here means a tree grew and
+    /// never that the machine was slow.
     fn run_in(prep: &Prep, order: Option<&[u32]>) -> (Option<RawSolution>, SearchStats) {
-        let opts = FtSearchConfig::default();
+        let opts = FtSearchConfig {
+            node_limit: Some(20_000_000),
+            ..FtSearchConfig::default()
+        };
         let start = Instant::now();
-        let mut eng =
-            Engine::<false>::new(prep, &opts, start, start + Duration::from_secs(10), None);
+        let deadline = start + Duration::from_secs(86_400);
+        let mut eng = Engine::<false>::new(prep, &opts, start, deadline, None);
         if let Some(o) = order {
             eng.set_order(o);
         }

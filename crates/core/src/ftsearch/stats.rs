@@ -115,7 +115,10 @@ pub struct SearchStats {
     /// Number of feasible solutions encountered (improvements only).
     pub improvements: u64,
     /// `true` when the search exhausted the tree (result is proved optimal /
-    /// proved infeasible); `false` on timeout.
+    /// proved infeasible); `false` on timeout. A CP solve
+    /// ([`SearchMode::Portfolio`](super::SearchMode::Portfolio)) is proved
+    /// when one restart run or its one proof run from its first incumbent
+    /// exhausted its tree; LNS runs never prove.
     pub proved: bool,
     /// Total wall-clock time of the search.
     pub elapsed: Duration,

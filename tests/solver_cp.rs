@@ -7,8 +7,10 @@
 //! run must be deterministic and monotonically non-worsening as its node
 //! budget grows.
 
-use laar_core::ftsearch::{solve, solve_parallel, FtSearchConfig, Outcome, SearchMode};
-use laar_core::Problem;
+use laar_core::ftsearch::{
+    solve, solve_parallel, solve_with_warm_start, CpConfig, FtSearchConfig, Outcome, SearchMode,
+};
+use laar_core::{CoreError, Problem};
 use laar_gen::GenParams;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -217,4 +219,73 @@ fn cp_finds_feasible_incumbents_on_the_large_ladder() {
         let violations = p.check(&sol.strategy);
         assert!(violations.is_empty(), "rung {rung}: {violations:?}");
     }
+}
+
+/// Corpus of the `plan-proofs` workload.
+const CORPUS_SEED: u64 = 0xF75E_A7C4;
+
+/// A warm-started CP solve proves what it holds instead of spending its
+/// budget: on corpus instance 26 at IC 0.6, warm-started from static
+/// replication under the re-planner's 200 000-node budget, the proof run
+/// from the first restart's incumbent finishes its tree, and the proved
+/// cost is the deterministic engine's optimum to the bit. Before the proof
+/// run existed this solve used all 200 000 nodes and ended `SOL`.
+#[test]
+fn warm_started_cp_solve_proves_the_deterministic_optimum() {
+    let corpus = laar_gen::solver_corpus(40, CORPUS_SEED);
+    let gen = &corpus[26].gen;
+    let p = Problem::new(gen.app.clone(), gen.placement.clone(), 0.6).unwrap();
+    let exact = solve(&p, &FtSearchConfig::default()).unwrap();
+    assert_eq!(exact.outcome.label(), "BST");
+    let opts = FtSearchConfig {
+        mode: SearchMode::Portfolio,
+        node_limit: Some(200_000),
+        ..FtSearchConfig::default()
+    };
+    let warm = laar_core::static_replication(&p);
+    let cp = solve_with_warm_start(&p, &opts, Some(&warm)).unwrap();
+    assert_eq!(cp.outcome.label(), "BST", "proved within the budget");
+    assert!(cp.stats.nodes < 200_000, "{} nodes", cp.stats.nodes);
+    let bits = |r: &laar_core::SearchReport| r.outcome.solution().unwrap().cost_cycles.to_bits();
+    assert_eq!(bits(&cp), bits(&exact), "the deterministic optimum");
+}
+
+/// A restart cap below the first restart's budget is a configuration
+/// error, not a panic inside the restart schedule; a cap between the base
+/// and the portfolio's shifted bases (`restart_base << 2` for every third
+/// worker) is legal and runs.
+#[test]
+fn restart_cap_below_the_first_restart_is_an_error() {
+    let corpus = laar_gen::solver_corpus(40, CORPUS_SEED);
+    let gen = &corpus[2].gen;
+    let p = Problem::new(gen.app.clone(), gen.placement.clone(), 0.6).unwrap();
+    let opts = |restart_cap| FtSearchConfig {
+        mode: SearchMode::Portfolio,
+        node_limit: Some(100_000),
+        cp: CpConfig {
+            restart_cap,
+            ..CpConfig::default()
+        },
+        ..FtSearchConfig::default()
+    };
+    let err = solve(&p, &opts(1000)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoreError::InvalidRestartCap {
+                cap: 1000,
+                first: 4096
+            }
+        ),
+        "{err}"
+    );
+    let par = solve_parallel(
+        &p,
+        &FtSearchConfig {
+            threads: 3,
+            ..opts(8192)
+        },
+    )
+    .unwrap();
+    assert!(par.outcome.solution().is_some(), "{}", par.outcome.label());
 }
