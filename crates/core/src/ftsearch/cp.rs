@@ -16,7 +16,7 @@ use super::search::{
     ValuePolicy,
 };
 use super::stats::SearchStats;
-use super::{better_solution, FtSearchConfig, SharedBest};
+use super::{better_solution, CpConfig, FtSearchConfig, SharedBest};
 use rand::{Rng, SeedableRng, StdRng};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -419,7 +419,7 @@ fn publish_new(pool: Option<&NogoodPool>, ng: &NogoodStore, published: &mut usiz
 }
 
 /// Replace `best` by `sol` when `sol` is better under [`better_solution`].
-fn keep_better(best: &mut Option<RawSolution>, sol: Option<RawSolution>) {
+pub(crate) fn keep_better(best: &mut Option<RawSolution>, sol: Option<RawSolution>) {
     if let Some(s) = sol {
         if best.as_ref().is_none_or(|b| better_solution(&s, b)) {
             *best = Some(s);
@@ -434,6 +434,26 @@ pub(crate) struct CpWorkerParams {
     pub restart_factor: f64,
     pub relax_frac: f64,
     pub worker_id: usize,
+}
+
+impl CpWorkerParams {
+    /// The knobs of portfolio worker `i`. Worker 0 runs `cp` as given,
+    /// which is what a one-worker search runs.
+    pub(crate) fn for_worker(cp: &CpConfig, i: usize) -> Self {
+        Self {
+            seed: cp
+                .seed
+                .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            restart_base: cp.restart_base << (i % 3),
+            restart_factor: cp.restart_factor,
+            relax_frac: match i % 3 {
+                0 => cp.relax_frac,
+                1 => (cp.relax_frac * 1.5).min(0.9),
+                _ => (cp.relax_frac * 0.5).max(0.05),
+            },
+            worker_id: i,
+        }
+    }
 }
 
 /// Node budget of the one proof run of a [`solve_cp`] call, sized on the
@@ -547,7 +567,6 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
             eng.set_order(&order);
             eng.set_nogoods(&mut ng, true);
             eng.set_activity(&mut act);
-            eng.set_tie_keeping(false);
             eng.set_proof_bounds(false);
             eng.set_node_budget(budget);
             match &guide_buf {
@@ -588,7 +607,6 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
             let order = fail_first_order(prep);
             let mut eng = Engine::<PENALTY>::new(prep, &eng_opts, start, deadline, shared);
             eng.set_order(&order);
-            eng.set_tie_keeping(false);
             eng.set_node_budget(PROOF_RUN_NODES.min(remaining(nodes_used)));
             eng.set_seed(best.clone().expect("checked above"));
             let (sol, timed_out) = eng.run(0);
@@ -616,7 +634,6 @@ pub(crate) fn solve_cp<const PENALTY: bool>(
                 eng.set_order(&order);
                 eng.set_nogoods(&mut ng, true);
                 eng.set_activity(&mut act);
-                eng.set_tie_keeping(false);
                 eng.set_proof_bounds(false);
                 eng.set_node_budget(budget);
                 eng.set_value_policy(ValuePolicy::Guided);

@@ -28,23 +28,12 @@
 //! bound turns into part of the objective's node bound. CPU stays hard, so
 //! `NUL` then means that no strategy fits the cluster at all.
 //!
-//! [`solve`] is the sequential solver, [`solve_with_warm_start`] the same
-//! with a caller's incumbent; [`solve_parallel`] fans the search out over OS
-//! threads. Two parallel modes exist (see [`SearchMode`]):
-//!
-//! - [`SearchMode::Deterministic`] splits the top of the tree statically with
-//!   a shared incumbent (the paper used the JSR-166 Fork/Join framework) and
-//!   is **deterministic in its incumbent**: identical (assignment, cost, FIC)
-//!   for any thread count, because near-incumbent subtrees are never pruned
-//!   (so every exact-minimal leaf is visited under any schedule) and
-//!   solutions are kept under a total order (exact cost, then lexicographic
-//!   assignment). Node counts and timings remain schedule-dependent.
-//! - [`SearchMode::Portfolio`] runs differently-seeded CP-style anytime
-//!   workers (nogood learning, activity-guided ordering, geometric restarts,
-//!   LNS around the incumbent) sharing the incumbent bound and short
-//!   nogoods. It is built for throughput and anytime quality on large
-//!   instances, not for run-to-run bit-identity. Sequentially (one worker,
-//!   [`solve`]) the CP mode is deterministic under node budgets.
+//! [`solve`] is the solver, [`solve_with_warm_start`] the same with a
+//! caller's incumbent. The [`SearchMode::Deterministic`] search is
+//! sequential; with [`FtSearchConfig::threads`] above one, the
+//! [`SearchMode::Portfolio`] search runs that many differently-seeded
+//! CP-style workers over OS threads, sharing the incumbent bound and short
+//! nogoods.
 
 mod cp;
 mod nogood;
@@ -61,16 +50,15 @@ use laar_model::ActivationStrategy;
 use parking_lot::Mutex;
 use prep::Prep;
 use search::{admit, Engine, RawSolution, Val};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The total order under which solutions are kept: exact objective (the
-/// cost under [`Objective::Hard`]) first, then lexicographic assignment. The
-/// eps-band used for *pruning* is deliberately absent here — an eps-tie
-/// comparison is not transitive (costs `C`, `C+ε`, `C+2ε` form a cycle of
-/// "ties"), which would make the winner depend on arrival order. Under this
-/// total order the final incumbent is the lexicographically smallest
-/// exact-minimal leaf, a schedule-independent quantity.
+/// The total order under which the portfolio merges its workers' solutions
+/// (and a CP run its rounds'): exact objective (the cost under
+/// [`Objective::Hard`]) first, then lexicographic assignment. The eps-band
+/// used for *pruning* is deliberately absent here — an eps-tie comparison
+/// is not transitive (costs `C`, `C+ε`, `C+2ε` form a cycle of "ties"),
+/// which would make the winner of a merge depend on arrival order.
 #[inline]
 pub(crate) fn better_solution(a: &RawSolution, b: &RawSolution) -> bool {
     match a.objective.partial_cmp(&b.objective) {
@@ -85,18 +73,19 @@ pub(crate) fn better_solution(a: &RawSolution, b: &RawSolution) -> bool {
 pub enum SearchMode {
     /// The paper-faithful branch-and-bound: a static fail-first order
     /// (configurations most resource hungry first, and inside one the ready
-    /// PE whose downstream cone carries the most load first), no learning,
-    /// bit-identical incumbent for any thread count.
+    /// PE whose downstream cone carries the most load first), no learning.
+    /// Sequential whatever [`FtSearchConfig::threads`] says, so its
+    /// incumbent, node and prune counts are reproducible.
     Deterministic,
     /// CP-style anytime search: nogood learning, activity-guided ordering,
     /// geometric restarts, and LNS around the incumbent, plus (under the
     /// hard objective) one node-budgeted run of the deterministic
-    /// configuration from the first incumbent, to prove it. Under
-    /// [`solve_parallel`] this runs a portfolio of differently-seeded
-    /// workers sharing the incumbent bound and short nogoods. Sequentially
-    /// ([`solve`]) it is deterministic under node budgets (everything is
-    /// metered in nodes and the RNG is seeded); across thread counts it is
-    /// not bit-reproducible.
+    /// configuration from the first incumbent, to prove it. With one
+    /// worker ([`FtSearchConfig::threads`] `= 1`, the default) it is
+    /// deterministic under node budgets (everything is metered in nodes and
+    /// the RNG is seeded). With more it runs a portfolio of
+    /// differently-seeded workers sharing the incumbent bound and short
+    /// nogoods, which is not bit-reproducible.
     Portfolio,
 }
 
@@ -127,8 +116,6 @@ pub struct CpConfig {
     /// Capacity of the nogood store; learning stops (new nogoods are
     /// dropped) once full.
     pub max_nogoods: usize,
-    /// Share short learned nogoods between portfolio workers.
-    pub share_nogoods: bool,
 }
 
 impl Default for CpConfig {
@@ -143,7 +130,6 @@ impl Default for CpConfig {
             relax_frac: 0.3,
             seed: 0x1AA2_C0DE,
             max_nogoods: 65_536,
-            share_nogoods: true,
         }
     }
 }
@@ -197,8 +183,10 @@ pub struct FtSearchConfig {
     /// after visiting this many nodes. Unlike the wall-clock limit this is
     /// reproducible across machines and runs.
     pub node_limit: Option<u64>,
-    /// Worker threads for [`solve_parallel`] (`0` = all available cores).
-    /// In portfolio mode `node_limit` is a per-worker budget.
+    /// Workers of a [`SearchMode::Portfolio`] search, one OS thread each
+    /// (`0` = all available cores); `node_limit` is then a per-worker
+    /// budget. The default, one, runs the CP search on the calling
+    /// thread. The deterministic search ignores this.
     pub threads: usize,
     /// Search engine selection; see [`SearchMode`].
     pub mode: SearchMode,
@@ -219,7 +207,7 @@ impl Default for FtSearchConfig {
             prune_dom: true,
             seed_incumbent: true,
             node_limit: None,
-            threads: 0,
+            threads: 1,
             mode: SearchMode::Deterministic,
             cp: CpConfig::default(),
             objective: Objective::Hard,
@@ -294,7 +282,7 @@ pub struct SearchReport {
     pub stats: SearchStats,
 }
 
-/// Shared incumbent for parallel workers: the best objective seen (as `f64`
+/// Shared incumbent for portfolio workers: the best objective seen (as `f64`
 /// bits in an atomic) plus the corresponding raw solution.
 pub(crate) struct SharedBest {
     objective_bits: AtomicU64,
@@ -595,7 +583,9 @@ fn check_problem(problem: &Problem, opts: &FtSearchConfig) -> Result<(), CoreErr
     Ok(())
 }
 
-/// Run sequential FT-Search on a problem.
+/// Run FT-Search on a problem: sequentially, or as a portfolio of CP
+/// workers when a [`SearchMode::Portfolio`] configuration asks for more
+/// than one ([`FtSearchConfig::threads`]).
 ///
 /// # Errors
 ///
@@ -609,13 +599,14 @@ pub fn solve(problem: &Problem, opts: &FtSearchConfig) -> Result<SearchReport, C
     solve_with_warm_start(problem, opts, None)
 }
 
-/// Run sequential FT-Search with an optional warm-start strategy installed
-/// as the initial incumbent when it is feasible for this problem. Useful for
-/// cascades over decreasing IC requirements: a solution guaranteeing IC 0.7
-/// is feasible for the 0.6 and 0.5 problems, so solving strictest-first and
-/// warm-starting the rest guarantees cost monotonicity across the cascade
-/// even under tight time limits. Under [`Objective::Penalty`] a warm start
-/// is accepted when it fits the cluster.
+/// Run FT-Search with an optional warm-start strategy installed as the
+/// initial incumbent (of every portfolio worker) when it is feasible for
+/// this problem. Useful for cascades over decreasing IC requirements: a
+/// solution guaranteeing IC 0.7 is feasible for the 0.6 and 0.5 problems,
+/// so solving strictest-first and warm-starting the rest guarantees cost
+/// monotonicity across the cascade even under tight time limits. Under
+/// [`Objective::Penalty`] a warm start is accepted when it fits the
+/// cluster.
 ///
 /// # Errors
 ///
@@ -627,13 +618,13 @@ pub fn solve_with_warm_start(
 ) -> Result<SearchReport, CoreError> {
     check_problem(problem, opts)?;
     Ok(match opts.objective {
-        Objective::Hard => solve_sequential::<false>(problem, opts, warm_start),
-        Objective::Penalty(_) => solve_sequential::<true>(problem, opts, warm_start),
+        Objective::Hard => solve_objective::<false>(problem, opts, warm_start),
+        Objective::Penalty(_) => solve_objective::<true>(problem, opts, warm_start),
     })
 }
 
 /// [`solve_with_warm_start`] compiled for one objective.
-fn solve_sequential<const PENALTY: bool>(
+fn solve_objective<const PENALTY: bool>(
     problem: &Problem,
     opts: &FtSearchConfig,
     warm_start: Option<&ActivationStrategy>,
@@ -646,250 +637,70 @@ fn solve_sequential<const PENALTY: bool>(
             return report;
         }
     }
-    if opts.mode == SearchMode::Portfolio && prep.num_vars > 0 {
-        let warm = best_seed(&prep, opts, warm_start);
-        let params = cp::CpWorkerParams {
-            seed: opts.cp.seed,
-            restart_base: opts.cp.restart_base,
-            restart_factor: opts.cp.restart_factor,
-            relax_frac: opts.cp.relax_frac,
-            worker_id: 0,
+    let seed = best_seed(&prep, opts, warm_start);
+    let (best, stats) = if opts.mode == SearchMode::Portfolio && prep.num_vars > 0 {
+        let threads = match opts.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
-        let (best, stats) =
-            cp::solve_cp::<PENALTY>(&prep, opts, start, deadline, None, None, &params, warm);
-        let timed_out = !stats.proved;
-        return SearchReport {
-            outcome: classify(problem, &prep, best, timed_out),
-            stats,
-        };
-    }
-    let order = search::fail_first_order(&prep);
-    let mut engine = Engine::<PENALTY>::new(&prep, opts, start, deadline, None);
-    engine.set_order(&order);
-    if let Some(seed) = best_seed(&prep, opts, warm_start) {
-        engine.set_seed(seed);
-    }
-    let (best, timed_out) = engine.run(0);
-    let stats = engine.stats.clone();
-    SearchReport {
-        outcome: classify(problem, &prep, best, timed_out),
-        stats,
-    }
-}
-
-/// Enumerate all non-CPU-pruned prefixes of length `depth` as parallel tasks.
-fn enumerate_prefixes(depth: usize) -> Vec<Vec<Val>> {
-    let mut out: Vec<Vec<Val>> = vec![Vec::new()];
-    for _ in 0..depth {
-        let mut next = Vec::with_capacity(out.len() * 3);
-        for p in &out {
-            for v in [Val::Only0, Val::Only1, Val::Both] {
-                let mut q = p.clone();
-                q.push(v);
-                next.push(q);
-            }
+        match threads {
+            1 => cp::solve_cp::<PENALTY>(
+                &prep,
+                opts,
+                start,
+                deadline,
+                None,
+                None,
+                &cp::CpWorkerParams::for_worker(&opts.cp, 0),
+                seed,
+            ),
+            threads => solve_portfolio::<PENALTY>(&prep, opts, start, deadline, threads, seed),
         }
-        out = next;
-    }
-    out
-}
-
-/// Run FT-Search with the top `split_depth` levels of the tree fanned out
-/// over OS threads, sharing the incumbent cost bound across workers (the
-/// parallel implementation of §4.5).
-///
-/// The returned incumbent (assignment, cost, FIC) is **identical for every
-/// thread count** on runs that complete within their limits: workers run
-/// in tie-keeping mode (COST pruning keeps an eps-slack above the shared
-/// incumbent, so every exact-minimal-cost leaf is visited regardless of
-/// how fast other workers tighten the bound) and all merging — worker
-/// locals in prefix order, then the shared incumbent — uses the
-/// `better_solution` total order. Worker statistics are merged;
-/// `time_to_first`/`time_to_best` reflect the earliest/cheapest across
-/// workers and, like node counts, remain schedule-dependent.
-///
-/// # Errors
-///
-/// As [`solve`].
-pub fn solve_parallel(problem: &Problem, opts: &FtSearchConfig) -> Result<SearchReport, CoreError> {
-    check_problem(problem, opts)?;
-    Ok(match opts.objective {
-        Objective::Hard => solve_split::<false>(problem, opts),
-        Objective::Penalty(_) => solve_split::<true>(problem, opts),
-    })
-}
-
-/// [`solve_parallel`] compiled for one objective.
-fn solve_split<const PENALTY: bool>(problem: &Problem, opts: &FtSearchConfig) -> SearchReport {
-    let prep = Prep::build(problem);
-    if opts.prune_cpu {
-        if let Some(report) = root_verdict(&prep, Instant::now()) {
-            return report;
-        }
-    }
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     } else {
-        opts.threads
-    };
-    if opts.mode == SearchMode::Portfolio && prep.num_vars > 0 {
-        return solve_portfolio::<PENALTY>(problem, &prep, opts, threads);
-    }
-    // Split deep enough to get a few tasks per thread, shallow enough that
-    // prefix duplication stays negligible.
-    let mut split_depth = 0usize;
-    while 3usize.pow(split_depth as u32) < threads * 4 && split_depth < prep.num_vars {
-        split_depth += 1;
-    }
-    if split_depth == 0 || prep.num_vars == 0 {
-        return solve_sequential::<PENALTY>(problem, opts, None);
-    }
-
-    let start = Instant::now();
-    let deadline = deadline_after(start, opts.time_limit);
-    let shared = SharedBest::new();
-    if opts.seed_incumbent {
-        if let Some(seed) = greedy_seed(&prep, opts.objective.lambda()) {
-            shared.offer(&seed);
-        }
-    }
-    let order = search::fail_first_order(&prep);
-    let prefixes = enumerate_prefixes(split_depth);
-
-    // (incumbent, timed out, stats) of one prefix subtree.
-    type PrefixResult = (Option<RawSolution>, bool, SearchStats);
-    let run_task = |prefix: &Vec<Val>| -> PrefixResult {
-        let mut engine = Engine::<PENALTY>::new(&prep, opts, start, deadline, Some(&shared));
+        let order = search::fail_first_order(&prep);
+        let mut engine = Engine::<PENALTY>::new(&prep, opts, start, deadline, None);
         engine.set_order(&order);
-        if !engine.push_prefix(prefix) {
-            let stats = engine.stats.clone();
-            return (None, false, stats);
+        if let Some(seed) = seed {
+            engine.set_seed(seed);
         }
-        let (best, timed_out) = engine.run(split_depth);
-        let stats = engine.stats.clone();
-        (best, timed_out, stats)
+        let best = engine.run(0).0;
+        (best, engine.stats)
     };
-
-    let results: Vec<Option<PrefixResult>> = if threads == 1 {
-        prefixes.iter().map(|p| Some(run_task(p))).collect()
-    } else {
-        // Real OS threads pulling prefixes from a shared work index; each
-        // thread keeps its (prefix index, result) pairs locally and the
-        // results are re-ordered by prefix index afterwards, so the merge
-        // below is independent of which thread ran what.
-        let next = AtomicUsize::new(0);
-        let gathered: Vec<(usize, PrefixResult)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= prefixes.len() {
-                                break;
-                            }
-                            local.push((i, run_task(&prefixes[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("solver worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<PrefixResult>> = (0..prefixes.len()).map(|_| None).collect();
-        for (i, r) in gathered {
-            slots[i] = Some(r);
-        }
-        slots
-    };
-
-    let mut stats = SearchStats::default();
-    let mut best: Option<RawSolution> = None;
-    let mut timed_out = false;
-    for entry in results.into_iter().flatten() {
-        let (sol, to, st) = entry;
-        stats.merge(&st);
-        timed_out |= to;
-        if let Some(s) = sol {
-            if best.as_ref().is_none_or(|b| better_solution(&s, b)) {
-                best = Some(s);
-            }
-        }
-    }
-    // The shared incumbent may hold a solution found by a worker whose local
-    // best was later overwritten; fold it in under the same total order.
-    if let Some(shared_sol) = shared.sol.lock().take() {
-        if best
-            .as_ref()
-            .is_none_or(|b| better_solution(&shared_sol, b))
-        {
-            best = Some(shared_sol);
-        }
-    }
-    stats.proved = !timed_out;
-    stats.elapsed = start.elapsed();
     SearchReport {
-        outcome: classify(problem, &prep, best, timed_out),
+        outcome: classify(problem, &prep, best, !stats.proved),
         stats,
     }
 }
 
-/// Run a portfolio of CP workers with diversified seeds, restart schedules
-/// and LNS neighborhood sizes. Workers share the incumbent cost bound (which
-/// tightens COST pruning everywhere) and, when `cp.share_nogoods` is set,
+/// Run a portfolio of `threads` CP workers with diversified seeds, restart
+/// schedules and LNS neighborhood sizes, each from `warm`. Workers share the
+/// incumbent cost bound (which tightens COST pruning everywhere) and
 /// publish short learned nogoods into a pool that other workers import at
 /// their restart boundaries. The first worker to prove its run (complete a
 /// restart tree within budget) cancels the rest.
 fn solve_portfolio<const PENALTY: bool>(
-    problem: &Problem,
     prep: &Prep,
     opts: &FtSearchConfig,
+    start: Instant,
+    deadline: Instant,
     threads: usize,
-) -> SearchReport {
-    let start = Instant::now();
-    let deadline = deadline_after(start, opts.time_limit);
+    warm: Option<RawSolution>,
+) -> (Option<RawSolution>, SearchStats) {
     let shared = SharedBest::new();
-    let pool = if opts.cp.share_nogoods && threads > 1 {
-        Some(cp::NogoodPool::default())
-    } else {
-        None
-    };
-    let warm = best_seed(prep, opts, None);
-
-    type WorkerResult = (Option<RawSolution>, SearchStats);
-    let results: Vec<WorkerResult> = std::thread::scope(|s| {
+    let pool = cp::NogoodPool::default();
+    let results: Vec<(Option<RawSolution>, SearchStats)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|i| {
-                let shared = &shared;
-                let pool = pool.as_ref();
-                let warm = warm.clone();
+                let (shared, pool, warm) = (&shared, &pool, warm.clone());
                 s.spawn(move || {
-                    let params = cp::CpWorkerParams {
-                        seed: opts
-                            .cp
-                            .seed
-                            .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                        restart_base: opts.cp.restart_base << (i % 3),
-                        restart_factor: opts.cp.restart_factor,
-                        relax_frac: match i % 3 {
-                            0 => opts.cp.relax_frac,
-                            1 => (opts.cp.relax_frac * 1.5).min(0.9),
-                            _ => (opts.cp.relax_frac * 0.5).max(0.05),
-                        },
-                        worker_id: i,
-                    };
+                    let params = cp::CpWorkerParams::for_worker(&opts.cp, i);
                     let (best, stats) = cp::solve_cp::<PENALTY>(
                         prep,
                         opts,
                         start,
                         deadline,
                         Some(shared),
-                        pool,
+                        Some(pool),
                         &params,
                         warm,
                     );
@@ -907,31 +718,16 @@ fn solve_portfolio<const PENALTY: bool>(
     });
 
     let mut stats = SearchStats::default();
-    let mut best: Option<RawSolution> = None;
+    let mut best = shared.sol.into_inner();
     let mut proved = false;
     for (sol, st) in results {
         proved |= st.proved;
         stats.merge(&st);
-        if let Some(s) = sol {
-            if best.as_ref().is_none_or(|b| better_solution(&s, b)) {
-                best = Some(s);
-            }
-        }
-    }
-    if let Some(shared_sol) = shared.sol.lock().take() {
-        if best
-            .as_ref()
-            .is_none_or(|b| better_solution(&shared_sol, b))
-        {
-            best = Some(shared_sol);
-        }
+        cp::keep_better(&mut best, sol);
     }
     stats.proved = proved;
     stats.elapsed = start.elapsed();
-    SearchReport {
-        outcome: classify(problem, prep, best, !proved),
-        stats,
-    }
+    (best, stats)
 }
 
 #[cfg(test)]
@@ -1043,22 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential() {
-        for ic in [0.0, 0.5, 0.65] {
-            let p = diamond_problem(ic);
-            let seq = solve(&p, &FtSearchConfig::default()).unwrap();
-            let par = solve_parallel(&p, &FtSearchConfig::default()).unwrap();
-            match (&seq.outcome, &par.outcome) {
-                (Outcome::Optimal(a), Outcome::Optimal(b)) => {
-                    assert!((a.cost_cycles - b.cost_cycles).abs() < 1e-6 * a.cost_cycles.max(1.0));
-                }
-                (Outcome::Infeasible, Outcome::Infeasible) => {}
-                (a, b) => panic!("outcomes differ: {} vs {}", a.label(), b.label()),
-            }
-        }
-    }
-
-    #[test]
     fn timeout_yields_tmo_or_sol() {
         // A node budget, not a wall-clock one: the deadline is only polled
         // every 8 192 nodes, so a tiny time limit would test how many nodes
@@ -1084,8 +864,11 @@ mod tests {
         let det = FtSearchConfig::with_time_limit(Duration::MAX);
         let cp = FtSearchConfig {
             mode: SearchMode::Portfolio,
-            threads: 2,
             ..det.clone()
+        };
+        let portfolio = FtSearchConfig {
+            threads: 2,
+            ..cp.clone()
         };
         let reports = [
             ("solve", solve(&p, &det)),
@@ -1093,9 +876,8 @@ mod tests {
                 "solve_with_warm_start",
                 solve_with_warm_start(&p, &det, None),
             ),
-            ("solve_parallel", solve_parallel(&p, &det)),
             ("solve (cp)", solve(&p, &cp)),
-            ("solve_parallel (portfolio)", solve_parallel(&p, &cp)),
+            ("solve (portfolio)", solve(&p, &portfolio)),
             ("solve (penalty)", solve(&p, &penalty(1e9, &det))),
         ];
         for (what, report) in reports {
@@ -1185,9 +967,14 @@ mod tests {
         let p = fig2_problem(0.6);
         for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let opts = penalty(bad, &FtSearchConfig::default());
+            let portfolio = FtSearchConfig {
+                mode: SearchMode::Portfolio,
+                threads: 2,
+                ..opts.clone()
+            };
             for err in [
                 solve(&p, &opts).unwrap_err(),
-                solve_parallel(&p, &opts).unwrap_err(),
+                solve(&p, &portfolio).unwrap_err(),
             ] {
                 assert!(
                     matches!(err, CoreError::InvalidPenaltyRate(_)),
@@ -1212,9 +999,13 @@ mod tests {
         };
         for (base, cap, first) in [(4096, 1000, 4096), (4096, 4095, 4096), (1, 63, 64)] {
             let opts = cp(base, cap);
+            let portfolio = FtSearchConfig {
+                threads: 2,
+                ..opts.clone()
+            };
             for err in [
                 solve(&p, &opts).unwrap_err(),
-                solve_parallel(&p, &opts).unwrap_err(),
+                solve(&p, &portfolio).unwrap_err(),
             ] {
                 assert!(
                     matches!(err, CoreError::InvalidRestartCap { cap: c, first: f } if c == cap && f == first),
@@ -1292,23 +1083,18 @@ mod tests {
         let placement = Placement::new(&g, 2, Placement::uniform_hosts(2, 1000.0), vec![]).unwrap();
         let app = Application::new("empty", g, cs, 300.0).unwrap();
         let p = Problem::new(app, placement, 0.6).unwrap();
+        let portfolio = FtSearchConfig {
+            mode: SearchMode::Portfolio,
+            threads: 2,
+            ..FtSearchConfig::default()
+        };
         for (what, report) in [
             ("solve", solve(&p, &FtSearchConfig::default())),
-            (
-                "solve_parallel",
-                solve_parallel(&p, &FtSearchConfig::default()),
-            ),
+            ("solve (portfolio)", solve(&p, &portfolio)),
         ] {
             let report = report.unwrap();
             assert_eq!(report.outcome.label(), "BST", "{what}");
             assert_eq!(report.stats.nodes, 0, "{what}");
         }
-    }
-
-    #[test]
-    fn prefix_enumeration_counts() {
-        assert_eq!(enumerate_prefixes(0).len(), 1);
-        assert_eq!(enumerate_prefixes(2).len(), 9);
-        assert_eq!(enumerate_prefixes(3).len(), 27);
     }
 }

@@ -186,8 +186,6 @@ pub(crate) struct Engine<'a, const PENALTY: bool> {
     /// Value to try first under `ValuePolicy::Guided`.
     guide: Option<&'a [u8]>,
     value_policy: ValuePolicy,
-    /// Tie-keeping leaf/COST semantics (deterministic parallel mode).
-    tie_keeping: bool,
     /// Stop as soon as any solution is installed (first-incumbent dive).
     stop_on_solution: bool,
     /// The node count at which the run stops: the smaller of
@@ -295,7 +293,6 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
             fixed: None,
             guide: None,
             value_policy: ValuePolicy::CheapFirst,
-            tie_keeping: shared.is_some(),
             stop_on_solution: false,
             node_cap: opts.node_limit.unwrap_or(u64::MAX),
             nogoods: None,
@@ -363,12 +360,6 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
         self.activity = Some(act);
     }
 
-    /// Override the leaf/COST semantics chosen by `new` (portfolio workers
-    /// share an incumbent but keep the strict sequential cut).
-    pub(crate) fn set_tie_keeping(&mut self, tie_keeping: bool) {
-        self.tie_keeping = tie_keeping;
-    }
-
     /// Switch the cover bound and CPU forward checking (see the field).
     pub(crate) fn set_proof_bounds(&mut self, on: bool) {
         self.proof_bounds = on;
@@ -390,32 +381,6 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
             sh.offer(&sol);
         }
         self.best = Some(sol);
-    }
-
-    /// Pre-assign the first `prefix.len()` positions of the exploration
-    /// order (used by the parallel splitter). Returns `false` if the prefix
-    /// itself is infeasible (prunable).
-    pub(crate) fn push_prefix(&mut self, prefix: &[Val]) -> bool {
-        for (pos, &val) in prefix.iter().enumerate() {
-            let v = self.var_at(pos);
-            if self.both_removed[v] && val.is_both() {
-                return false; // dominated prefix: nothing worth searching
-            }
-            if !self.try_assign(v, val, (self.prep.num_vars - pos) as u64) {
-                return false;
-            }
-            if !PENALTY && self.opts.prune_compl && self.compl_violated() {
-                self.unassign(v, val);
-                return false;
-            }
-            if self.opts.prune_cpu && !self.propagate_cap(v) {
-                return false;
-            }
-            if val != Val::Both && self.opts.prune_dom {
-                self.propagate_dom(v);
-            }
-        }
-        true
     }
 
     /// Run the search from variable `from` to completion or timeout.
@@ -628,28 +593,17 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
         }
     }
 
-    /// COST: can no completion of this node beat the incumbent? With
-    /// tie-keeping semantics (deterministic parallel mode) the cut keeps an
-    /// eps-slack *above* the bound instead of below it: subtrees that might
-    /// contain an exact-minimal leaf are always explored no matter how fast
-    /// another worker tightened the incumbent, which is what makes the
-    /// parallel result schedule-independent. The cover term is only
-    /// computed where the plain bound fails, and not at all under
-    /// `plain_only`. Under the penalty objective the plain bound adds the
-    /// IC shortfall priced at λ ([`Self::penalty_lb`]).
+    /// COST: can no completion of this node beat the incumbent by more than
+    /// the eps-band, `lb ≥ best·(1−ε)`? The cover term is only computed
+    /// where the plain bound fails, and not at all under `plain_only`.
+    /// Under the penalty objective the plain bound adds the IC shortfall
+    /// priced at λ ([`Self::penalty_lb`]).
     #[inline]
     fn cost_cut(&self, plain_only: bool) -> bool {
         let Some(best) = self.incumbent_objective() else {
             return false;
         };
-        let tie_keeping = self.tie_keeping;
-        let cut = |lb: f64| {
-            if tie_keeping {
-                lb > best * (1.0 + BOUND_EPS)
-            } else {
-                lb >= best * (1.0 - BOUND_EPS)
-            }
-        };
+        let cut = |lb: f64| lb >= best * (1.0 - BOUND_EPS);
         let lb = self.cost + self.cost_lb_rem;
         let plain = if PENALTY { lb + self.penalty_lb() } else { lb };
         cut(plain) || (!plain_only && self.proof_bounds && cut(lb + self.deficit_cover()))
@@ -1238,7 +1192,8 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
     }
 
     /// A complete assignment was reached: recompute FIC/cost exactly (kills
-    /// incremental drift), re-validate, and record if improving.
+    /// incremental drift), re-validate, and record it if it improves on the
+    /// incumbent by more than the eps-band.
     fn record_leaf(&mut self) {
         let (cost_rate, fic, max_rel_load) = self.recompute_exact();
         if !PENALTY && fic < self.prep.goal_fic * (1.0 - BOUND_EPS) {
@@ -1254,44 +1209,13 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
         } else {
             cost_rate
         };
-        let incumbent = self.incumbent_objective();
-        let improving = match incumbent {
-            Some(b) => objective < b * (1.0 - BOUND_EPS),
-            None => true,
-        };
-        if !self.tie_keeping {
-            // Strict mode (sequential / portfolio workers): strict
-            // improvement or nothing.
-            if !improving {
-                return;
-            }
-            self.note_solution(objective, true);
-            let sol = RawSolution {
-                assign: self.assign.clone(),
-                fic_rate: fic,
-                objective,
-            };
-            if let Some(sh) = self.shared {
-                sh.offer(&sol);
-            }
-            self.best = Some(sol);
-            if self.stop_on_solution {
-                self.timed_out = true;
-            }
+        if self
+            .incumbent_objective()
+            .is_some_and(|b| objective >= b * (1.0 - BOUND_EPS))
+        {
             return;
         }
-        // Parallel tie-keeping mode: keep every leaf within the eps-band of
-        // the incumbent (the tie-keeping COST cut guarantees such leaves are
-        // always reached) and resolve ties by the total order, so the final
-        // incumbent does not depend on which worker got there first.
-        let keep = match incumbent {
-            Some(b) => objective <= b * (1.0 + BOUND_EPS),
-            None => true,
-        };
-        if !keep {
-            return;
-        }
-        self.note_solution(objective, improving);
+        self.note_solution(objective);
         let sol = RawSolution {
             assign: self.assign.clone(),
             fic_rate: fic,
@@ -1300,32 +1224,24 @@ impl<'a, const PENALTY: bool> Engine<'a, PENALTY> {
         if let Some(sh) = self.shared {
             sh.offer(&sol);
         }
-        let replace = match &self.best {
-            Some(b) => super::better_solution(&sol, b),
-            None => true,
-        };
-        if replace {
-            self.best = Some(sol);
+        self.best = Some(sol);
+        if self.stop_on_solution {
+            self.timed_out = true;
         }
     }
 
-    /// Update first/best statistics for a kept leaf. `improving` preserves
-    /// the historical semantics: only strict cost improvements count as
-    /// improvements or move `time_to_best` (tie-kept equal-cost solutions
-    /// do not).
-    fn note_solution(&mut self, cost: f64, improving: bool) {
+    /// Update first/best statistics for a new incumbent.
+    fn note_solution(&mut self, cost: f64) {
         let now = self.start.elapsed();
         if self.stats.time_to_first.is_none() {
             self.stats.time_to_first = Some(now);
             self.stats.first_cost = Some(cost);
         }
-        if improving {
-            self.stats.time_to_best = Some(now);
-            self.stats.best_cost = Some(cost);
-            self.stats.improvements += 1;
-            let nodes = self.stats.nodes;
-            self.stats.push_incumbent(now, nodes, cost);
-        }
+        self.stats.time_to_best = Some(now);
+        self.stats.best_cost = Some(cost);
+        self.stats.improvements += 1;
+        let nodes = self.stats.nodes;
+        self.stats.push_incumbent(now, nodes, cost);
     }
 
     /// Exact (non-incremental) evaluation of the current complete assignment.
@@ -1657,7 +1573,9 @@ mod tests {
         let mut eng =
             Engine::<false>::new(&prep, &opts, start, start + Duration::from_secs(10), None);
         eng.set_order(&order);
-        assert!(eng.push_prefix(&[Val::Only0]));
+        let v = eng.var_at(0);
+        assert!(eng.try_assign(v, Val::Only0, prep.num_vars as u64));
+        eng.propagate_dom(v);
         let removed: Vec<usize> = eng.trail.iter().map(|t| t.var as usize).collect();
         assert_eq!(removed, [3]);
         let recount: u64 = removed

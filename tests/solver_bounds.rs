@@ -9,8 +9,8 @@
 //! and optimum of the ablated search).
 
 use laar_core::ftsearch::{
-    solve, solve_parallel, solve_with_warm_start, FtSearchConfig, Objective, Outcome, PruneKind,
-    SearchMode, SearchReport,
+    solve, solve_with_warm_start, FtSearchConfig, Objective, Outcome, PruneKind, SearchMode,
+    SearchReport,
 };
 use laar_core::problem::FEASIBILITY_EPS;
 use laar_core::{PessimisticFailure, Problem, Solution};
@@ -160,9 +160,9 @@ fn assert_matches_oracle(p: &Problem, report: &SearchReport, oracle: &Oracle, wh
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On instances small enough to enumerate, the default solver, its
-    /// parallel form and the ablations of the two switches the new bounds
-    /// sit under return the brute-force verdict and optimum.
+    /// On instances small enough to enumerate, the default solver, a
+    /// two-worker CP portfolio and the ablations of the two switches the
+    /// new bounds sit under return the brute-force verdict and optimum.
     #[test]
     fn solver_agrees_with_brute_force(
         seed in any::<u64>(),
@@ -193,9 +193,13 @@ proptest! {
         let truth = oracle(&p, &lambdas);
         let full = solve(&p, &FtSearchConfig::default()).unwrap();
         assert_matches_oracle(&p, &full, &truth, "solve");
-        let par = solve_parallel(&p, &FtSearchConfig { threads: 2, ..FtSearchConfig::default() })
-            .unwrap();
-        assert_matches_oracle(&p, &par, &truth, "solve_parallel");
+        let portfolio = FtSearchConfig {
+            mode: SearchMode::Portfolio,
+            threads: 2,
+            ..FtSearchConfig::default()
+        };
+        let par = solve(&p, &portfolio).unwrap();
+        assert_matches_oracle(&p, &par, &truth, "portfolio");
         for (prune_cpu, prune_cost) in [(false, true), (true, false)] {
             let opts = FtSearchConfig { prune_cpu, prune_cost, ..FtSearchConfig::default() };
             let ablated = solve(&p, &opts).unwrap();
@@ -210,9 +214,9 @@ proptest! {
             let report = solve(&p, &penalty).unwrap();
             assert_penalty_matches_oracle(&p, &report, &truth, i, lambda, "penalty");
             if i == 1 {
-                let par = solve_parallel(&p, &FtSearchConfig { threads: 2, ..penalty.clone() })
+                let par = solve(&p, &FtSearchConfig { objective: penalty.objective, ..portfolio.clone() })
                     .unwrap();
-                assert_penalty_matches_oracle(&p, &par, &truth, i, lambda, "parallel penalty");
+                assert_penalty_matches_oracle(&p, &par, &truth, i, lambda, "portfolio penalty");
                 let cp = solve(&p, &FtSearchConfig { mode: SearchMode::Portfolio, ..penalty })
                     .unwrap();
                 assert_penalty_matches_oracle(&p, &cp, &truth, i, lambda, "cp penalty");
@@ -359,9 +363,17 @@ fn root_conflict_ends_every_entry_point_at_the_root() {
             "solve_with_warm_start",
             solve_with_warm_start(&p, &det, Some(&warm)),
         ),
-        ("solve_parallel", solve_parallel(&p, &det)),
         ("solve (cp)", solve(&p, &cp)),
-        ("solve_parallel (portfolio)", solve_parallel(&p, &cp)),
+        (
+            "solve (portfolio)",
+            solve(
+                &p,
+                &FtSearchConfig {
+                    threads: 2,
+                    ..cp.clone()
+                },
+            ),
+        ),
         (
             "solve (penalty)",
             solve(

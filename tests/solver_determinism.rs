@@ -1,13 +1,11 @@
-//! `ftsearch::solve_parallel` must return an **identical incumbent** —
-//! assignment (strategy), cost, and FIC, compared bitwise — for any thread
-//! count, on the paper problem and on generated instances. The solver
-//! achieves this with tie-keeping COST pruning (near-incumbent subtrees
-//! are never cut, so every exact-minimal-cost leaf is visited under any
-//! schedule) and a total order over solutions (exact cost, then
-//! lexicographic assignment). Node counts and wall-clock statistics stay
-//! schedule-dependent and are deliberately not compared.
+//! The deterministic search is sequential whatever `FtSearchConfig::threads`
+//! says (the setting only sizes a `SearchMode::Portfolio` search): `solve`
+//! must return an **identical report** — outcome label, assignment
+//! (strategy), cost and IC compared bitwise, and the node and per-kind
+//! prune counts — for any thread count, on the paper problem and on
+//! generated instances. Only wall-clock statistics are not compared.
 
-use laar_core::ftsearch::{solve_parallel, FtSearchConfig, Outcome};
+use laar_core::ftsearch::{solve, FtSearchConfig, Outcome, NUM_PRUNE_KINDS};
 use laar_core::testutil::fig2_problem;
 use laar_core::Problem;
 use laar_gen::solver_corpus;
@@ -19,21 +17,24 @@ const THREAD_AXIS: [usize; 3] = [1, 2, 8];
 /// Outcome label plus the incumbent's (strategy, cost, IC), when one exists.
 type Incumbent = (&'static str, Option<(ActivationStrategy, f64, f64)>);
 
-/// Solve `problem` at every thread count and assert the outcomes coincide
-/// exactly. Returns the label of the (shared) outcome.
+/// Node count, then prune counts by kind.
+type Tree = (u64, [u64; NUM_PRUNE_KINDS]);
+
+/// Solve `problem` at every thread count and assert the outcomes and the
+/// trees coincide exactly. Returns the label of the (shared) outcome.
 fn assert_identical_incumbent(problem: &Problem, what: &str) -> &'static str {
-    let mut reference: Option<Incumbent> = None;
+    let mut reference: Option<(Incumbent, Tree)> = None;
     for threads in THREAD_AXIS {
         let opts = FtSearchConfig {
             threads,
             time_limit: Duration::from_secs(60),
             ..FtSearchConfig::default()
         };
-        let report = solve_parallel(problem, &opts).expect("k = 2");
+        let report = solve(problem, &opts).expect("k = 2");
         assert!(
             report.stats.proved,
             "{what}: threads={threads} did not prove within the limit; \
-             determinism is only guaranteed for completed runs"
+             the limit is wall-clock, so only completed runs are comparable"
         );
         let label = report.outcome.label();
         let incumbent = match &report.outcome {
@@ -42,9 +43,14 @@ fn assert_identical_incumbent(problem: &Problem, what: &str) -> &'static str {
             }
             Outcome::Infeasible | Outcome::Timeout => None,
         };
+        let tree = (report.stats.nodes, report.stats.prunes);
         match &reference {
-            None => reference = Some((label, incumbent)),
-            Some((ref_label, ref_inc)) => {
+            None => reference = Some(((label, incumbent), tree)),
+            Some(((ref_label, ref_inc), ref_tree)) => {
+                assert_eq!(
+                    *ref_tree, tree,
+                    "{what}: nodes and prunes at threads={threads}"
+                );
                 assert_eq!(
                     *ref_label, label,
                     "{what}: outcome label at threads={threads}"
@@ -67,7 +73,7 @@ fn assert_identical_incumbent(problem: &Problem, what: &str) -> &'static str {
             }
         }
     }
-    reference.unwrap().0
+    reference.unwrap().0 .0
 }
 
 #[test]
